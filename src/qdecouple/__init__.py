@@ -11,6 +11,7 @@ from .operators import (
     MembershipResult,
     NumericalError,
     Operator,
+    Span,
     TensorLayout,
     TimeOperator,
     TimeTerm,

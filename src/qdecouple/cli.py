@@ -30,7 +30,7 @@ from .invariance import (
 )
 from .geometry import kernel_dy_member
 from .models import ModelParams
-from .operators import commutator, span_membership
+from .operators import Span, commutator
 from .simulator import (
     ControlSchedule,
     NormGuardError,
@@ -337,10 +337,11 @@ def _cmd_check(cfg: RunConfig) -> int:
     exit_code = 2
     if cfg.model == "restructured":
         gens = list(model.controls)
+        span = Span(gens, cfg.tol_rank)
         worst = 0.0
         for g_op in gens:
             br = commutator(g_op, model.interaction)
-            m = span_membership(br, gens, cfg.tol_rank)
+            m = span.membership(br)
             worst = max(worst, m.residual_norm / max(br.norm(), 1e-300))
         closes = worst <= 1e-9
         rep.add(f"control brackets with interaction close into the control span: "

@@ -18,7 +18,7 @@ from .operators import (
     DimensionMismatchError,
     Operator,
     OperatorLike,
-    TimeOperator,
+    Span,
     commutator,
     span_membership,
 )
@@ -93,24 +93,32 @@ def kernel_dy_member(K: LinearVectorField, C: OperatorLike,
                          "(the reduction to [C, A] uses A^+ = -A)")
     witness = commutator(C, K.generator)
     wnorm = witness.norm()
-    scale = max(_norm(C) * K.generator.norm(), 1e-300)
+    scale = max(C.norm() * K.generator.norm(), 1e-300)
     return KernelMembership(wnorm <= tol * scale, witness, wnorm / scale)
 
 
-def _norm(op: OperatorLike) -> float:
-    return op.norm()
+def _geometric_check(delta_gens: Sequence[LinearVectorField],
+                     fields: Sequence[LinearVectorField], C: OperatorLike,
+                     K_I: LinearVectorField, delta_span: Span, bracket_span: Span,
+                     tol: float) -> tuple[bool, bool, Optional[tuple[str, str, float]]]:
+    """The walk both geometric checks share; returns (ok, k_i_in_ker_dy, failing).
 
-
-def _generator_span_report(delta_gens: Sequence[LinearVectorField]):
-    return [f.generator for f in delta_gens]
-
-
-def _span_rank(ops: Sequence[Operator], tol: float) -> int:
-    if not ops:
-        return 0
-    B = np.stack([op.matrix.ravel() for op in ops], axis=1)
-    s = np.linalg.svd(B, compute_uv=False)
-    return int((s > tol * s[0]).sum()) if s.size and s[0] > 0 else 0
+    Bracket membership is tested against `bracket_span`, the interaction
+    field against `delta_span`.
+    """
+    ker_ok = kernel_dy_member(K_I, C, max(tol, 1e-10)).member
+    for d in delta_gens:
+        if not kernel_dy_member(d, C, max(tol, 1e-10)).member:
+            return False, ker_ok, (d.label or "delta", "ker(dy)", float("nan"))
+    m = delta_span.membership(K_I.generator)
+    if not m.is_member:
+        return False, ker_ok, (K_I.label or "K_I", "span(Delta)", m.residual_norm)
+    for d in delta_gens:
+        for f in fields:
+            m = bracket_span.membership(vf_bracket(d, f).generator)
+            if not m.is_member:
+                return False, ker_ok, (d.label or "delta", f.label or "field", m.residual_norm)
+    return ker_ok, ker_ok, None
 
 
 def check_open_loop_geometric(delta_gens: Sequence[LinearVectorField],
@@ -124,41 +132,10 @@ def check_open_loop_geometric(delta_gens: Sequence[LinearVectorField],
     interaction field belongs to the candidate span, (c) every bracket of a
     candidate with a drift/control field stays in the candidate span.
     """
-    span_ops = _generator_span_report(delta_gens)
-    rank = _span_rank(span_ops, tol)
-
-    ker_ok = kernel_dy_member(K_I, C, max(tol, 1e-10)).member
-    failing = None
-
-    for d in delta_gens:
-        if not kernel_dy_member(d, C, max(tol, 1e-10)).member:
-            failing = (d.label or "delta", "ker(dy)", float("nan"))
-            break
-
-    if failing is None:
-        m = span_membership(K_I.generator, span_ops, tol)
-        if not m.is_member:
-            failing = (K_I.label or "K_I", "span(Delta)", m.residual_norm)
-
-    if failing is None:
-        for d in delta_gens:
-            for f in fields:
-                br = vf_bracket(d, f)
-                m = span_membership(br.generator, span_ops, tol)
-                if not m.is_member:
-                    failing = (d.label or "delta", f.label or "field", m.residual_norm)
-                    break
-            if failing is not None:
-                break
-
-    ok = failing is None and ker_ok
-    return DecouplabilityReport(
-        k_i_in_ker_dy=ker_ok,
-        open_loop_ok=ok,
-        controlled_ok=False,
-        failing_bracket=failing,
-        delta_rank=rank,
-    )
+    span = Span([d.generator for d in delta_gens], tol)
+    ok, ker_ok, failing = _geometric_check(delta_gens, fields, C, K_I, span, span, tol)
+    return DecouplabilityReport(k_i_in_ker_dy=ker_ok, open_loop_ok=ok, controlled_ok=False,
+                                failing_bracket=failing, delta_rank=span.rank)
 
 
 def check_controlled_decouplable(delta_gens: Sequence[LinearVectorField],
@@ -174,40 +151,14 @@ def check_controlled_decouplable(delta_gens: Sequence[LinearVectorField],
     generators.  Passing K0=None restricts the bracket test to the control
     fields (the drift bracket is then the caller's responsibility).
     """
-    span_ops = _generator_span_report(delta_gens) + [f.generator for f in G]
-    ker_ok = kernel_dy_member(K_I, C, max(tol, 1e-10)).member
-    failing = None
-
-    for d in delta_gens:
-        if not kernel_dy_member(d, C, max(tol, 1e-10)).member:
-            failing = (d.label or "delta", "ker(dy)", float("nan"))
-            break
-
-    if failing is None:
-        m = span_membership(K_I.generator, _generator_span_report(delta_gens), tol)
-        if not m.is_member:
-            failing = (K_I.label or "K_I", "span(Delta)", m.residual_norm)
-
+    delta_ops = [d.generator for d in delta_gens]
+    delta_span = Span(delta_ops, tol)
+    bracket_span = Span(delta_ops + [f.generator for f in G], tol)
     fields = ([K0] if K0 is not None else []) + list(G)
-    if failing is None:
-        for d in delta_gens:
-            for f in fields:
-                br = vf_bracket(d, f)
-                m = span_membership(br.generator, span_ops, tol)
-                if not m.is_member:
-                    failing = (d.label or "delta", f.label or "field", m.residual_norm)
-                    break
-            if failing is not None:
-                break
-
-    ok = failing is None and ker_ok
-    return DecouplabilityReport(
-        k_i_in_ker_dy=ker_ok,
-        open_loop_ok=False,
-        controlled_ok=ok,
-        failing_bracket=failing,
-        delta_rank=_span_rank(_generator_span_report(delta_gens), tol),
-    )
+    ok, ker_ok, failing = _geometric_check(delta_gens, fields, C, K_I,
+                                           delta_span, bracket_span, tol)
+    return DecouplabilityReport(k_i_in_ker_dy=ker_ok, open_loop_ok=False, controlled_ok=ok,
+                                failing_bracket=failing, delta_rank=delta_span.rank)
 
 
 def closure_under_brackets(seeds: Sequence[LinearVectorField],

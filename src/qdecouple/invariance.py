@@ -22,6 +22,7 @@ from .operators import (
     commutator,
     kron_embed,
     make_primitive,
+    Span,
     span_membership,
     vectorize,
     _collect_keys,
@@ -63,6 +64,10 @@ class _KeyedSpan:
             self.basis = np.concatenate([self.basis, pad], axis=1) \
                 if self.basis.size else np.zeros((0, len(self.keys) * dim2), dtype=complex)
 
+    def _project_out(self, v: np.ndarray) -> np.ndarray:
+        # (B @ v*)* is B* @ v without copying the basis to conjugate it
+        return v - (self.basis @ v.conj()).conj() @ self.basis
+
     def add(self, op: OperatorLike, dim2: int) -> tuple[bool, float]:
         """Orthogonalize op against the span; returns (added, residual)."""
         self._extend_keys(op, dim2)
@@ -71,23 +76,14 @@ class _KeyedSpan:
         self.scale = max(self.scale, nrm)
         if nrm == 0.0:
             return False, 0.0
-        r = v - self.basis.conj() @ v @ self.basis if self.basis.shape[0] else v
-        if self.basis.shape[0]:
-            r = r - self.basis.conj() @ r @ self.basis
+        # orthogonalize twice: one pass loses orthogonality near the cutoff
+        r = self._project_out(self._project_out(v)) if self.basis.shape[0] else v
         rn = float(np.linalg.norm(r))
         if rn > self.tol * max(self.scale, 1e-300):
             row = (r / rn)[None, :]
             self.basis = np.concatenate([self.basis, row], axis=0) if self.basis.size else row
             return True, rn
         return False, rn
-
-    def residual(self, op: OperatorLike, dim2: int) -> float:
-        self._extend_keys(op, dim2)
-        v = vectorize(op, tuple(self.keys))
-        if not self.basis.shape[0]:
-            return float(np.linalg.norm(v))
-        r = v - self.basis.conj() @ v @ self.basis
-        return float(np.linalg.norm(r))
 
 
 @dataclass
@@ -190,10 +186,6 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
     )
 
 
-def _norm_of(op: OperatorLike) -> float:
-    return op.norm()
-
-
 def check_open_loop_invariance(dist: OperatorDistribution, H_SE: Operator,
                                tol: float = DEFAULT_TOL) -> InvarianceReport:
     """Invariant iff every closure generator commutes with the interaction."""
@@ -204,7 +196,7 @@ def check_open_loop_invariance(dist: OperatorDistribution, H_SE: Operator,
     residuals = []
     for T in dist.generators:
         R = commutator(T, H_SE)
-        rel = _norm_of(R) / max(_norm_of(T) * h_norm, 1e-300)
+        rel = R.norm() / max(T.norm() * h_norm, 1e-300)
         residuals.append(rel)
         if rel > tol:
             return InvarianceReport("not_invariant", T, tuple(residuals))
@@ -221,19 +213,22 @@ def check_controller_necessary(C: OperatorLike, dist: OperatorDistribution,
     """
     h_norm = H_SE.norm()
     r1_op = commutator(C, H_SE)
-    r1 = _norm_of(r1_op) / max(_norm_of(C) * h_norm, 1e-300)
+    r1 = r1_op.norm() / max(C.norm() * h_norm, 1e-300)
     if r1 > tol:
         return InvarianceReport("necessary_failed", r1_op, (r1,))
 
     residuals = [r1]
     sufficient = True
+    span = None  # factored when the first generator fails to commute
     for T in dist.generators:
         R = commutator(T, H_SE)
-        rel_norm = _norm_of(R) / max(_norm_of(T) * h_norm, 1e-300)
+        rel_norm = R.norm() / max(T.norm() * h_norm, 1e-300)
         if rel_norm > tol:
             sufficient = False
-            member = dist.membership(R, tol)
-            residuals.append(member.residual_norm / max(_norm_of(R), 1e-300))
+            if span is None:
+                span = Span(dist.generators, tol)
+            member = span.membership(R)
+            residuals.append(member.residual_norm / max(R.norm(), 1e-300))
             if not member.is_member:
                 return InvarianceReport("necessary_failed", T, tuple(residuals))
         else:

@@ -35,6 +35,7 @@ __all__ = [
     "kron_embed",
     "commutator",
     "matrix_exponential",
+    "Span",
     "span_membership",
     "bilinear_form",
     "evaluate_time_operator",
@@ -413,29 +414,63 @@ def vectorize(op: OperatorLike | np.ndarray,
     return np.concatenate(flat) if flat else np.zeros(0, dtype=complex)
 
 
+class Span:
+    """span(basis), vectorized and SVD-factored once, then tested against any
+    number of targets.
+
+    The basis may be rank-deficient: singular values below `tol` times the
+    largest are dropped and minimum-norm coefficients are returned.  A target
+    is a member when its least-squares residual is within
+    `tol * max(1, |target|)`; its coefficient families outside the basis key
+    space count fully toward that residual.
+    """
+
+    def __init__(self, basis: Sequence, tol: float = 1e-9):
+        items = list(basis)
+        self.tol = tol
+        self.size = len(items)
+        self.keys = _collect_keys(items)
+        self.rank = 0
+        if not items:
+            return
+        self._B = np.stack([vectorize(op, self.keys) for op in items], axis=1)
+        self._family_size = self._B.shape[0] // len(self.keys)
+        u, s, vh = np.linalg.svd(self._B, full_matrices=False)
+        self.rank = int((s > tol * s[0]).sum()) if s.size and s[0] > 0 else 0
+        self._uh = u[:, :self.rank].conj().T
+        self._s = s[:self.rank]
+        self._v = vh[:self.rank].conj().T
+
+    def membership(self, target) -> MembershipResult:
+        if isinstance(target, np.ndarray):
+            t, families = target.ravel().astype(complex), len(self.keys)
+        else:
+            extra = tuple(k for k in _collect_keys([target]) if k not in self.keys)
+            t, families = vectorize(target, self.keys + extra), len(self.keys) + len(extra)
+        if self.size and t.size != families * self._family_size:
+            raise DimensionMismatchError(
+                f"target has {t.size} entries over {families} coefficient families, "
+                f"the basis {self._family_size} per family")
+        tnorm = float(np.linalg.norm(t))
+        threshold = self.tol * max(1.0, tnorm)
+        if self.rank == 0:
+            return MembershipResult(tnorm <= threshold, np.zeros(self.size, dtype=complex),
+                                    tnorm, 0)
+        n_in = self._B.shape[0]
+        coeffs = self._v @ ((self._uh @ t[:n_in]) / self._s)
+        residual = float(np.linalg.norm(np.concatenate([self._B @ coeffs - t[:n_in],
+                                                        t[n_in:]])))
+        return MembershipResult(residual <= threshold, coeffs, residual, self.rank)
+
+
 def span_membership(target, basis: Sequence, tol: float = 1e-9) -> MembershipResult:
-    """Least-squares projection of `target` onto span(basis).
+    """Least-squares projection of `target` onto span(basis); see :class:`Span`.
 
     Accepts Operators, TimeOperators or plain vectors (uniformly within one
-    call).  The basis may be rank-deficient; the relative singular-value
-    cutoff is `tol` and minimum-norm coefficients are returned.
+    call).  Callers testing several targets against one basis should build
+    the :class:`Span` once instead.
     """
-    items = list(basis)
-    keys = _collect_keys([target] + items) if not isinstance(target, np.ndarray) else ((0.0, 0),)
-    t = vectorize(target, keys)
-    tnorm = float(np.linalg.norm(t))
-    threshold = tol * max(1.0, tnorm)
-    if not items:
-        return MembershipResult(tnorm <= threshold, np.zeros(0, dtype=complex), tnorm, 0)
-    B = np.stack([vectorize(op, keys) for op in items], axis=1)
-    u, s, vh = np.linalg.svd(B, full_matrices=False)
-    rank = int((s > tol * s[0]).sum()) if s.size and s[0] > 0 else 0
-    if rank == 0:
-        return MembershipResult(tnorm <= threshold, np.zeros(len(items), dtype=complex),
-                                tnorm, 0)
-    coeffs = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ t) / s[:rank])
-    residual = float(np.linalg.norm(B @ coeffs - t))
-    return MembershipResult(residual <= threshold, coeffs, residual, rank)
+    return Span(basis, tol).membership(target)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +484,7 @@ def bilinear_form(xi: np.ndarray, C: Operator) -> complex:
         raise DimensionMismatchError(f"state dim {xi.size} vs operator dim {C.dim}")
     nrm = np.linalg.norm(xi)
     if not (1 - 1e-6 <= nrm <= 1 + 1e-6):
-        raise ValueError(f"state must be normalized to 1e-6, got |xi| = {nrm!r}")
+        raise ValueError(f"state must be normalized to 1e-6, got |xi| = {float(nrm)!r}")
     return complex(np.vdot(xi, C.matrix @ xi))
 
 

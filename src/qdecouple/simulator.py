@@ -170,7 +170,7 @@ def _coherence_matrix(model: SystemModel, t: float) -> np.ndarray:
 def _check_norm(nrm: float, t: float, guard: float, context: str):
     if abs(nrm - 1.0) > guard:
         raise NormGuardError(
-            f"{context}: state norm drifted to {nrm!r} at t = {t:.6f} "
+            f"{context}: state norm drifted to {float(nrm)!r} at t = {t:.6f} "
             f"(budget {guard:g}); reduce dt or inspect the control magnitudes")
 
 

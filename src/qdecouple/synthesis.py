@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .models import SystemModel
-from .operators import Operator, opnorm, span_membership
+from .operators import _PAULI, Operator, Span, opnorm
 
 __all__ = [
     "DegenerateStateError",
@@ -60,17 +60,12 @@ class InvariantBasisError(RuntimeError):
     """The invariant-basis commutation table failed to validate."""
 
 
-def _pauli_products():
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    i2 = np.eye(2, dtype=complex)
-    return sx, sy, sz, i2
+_I2 = np.eye(2, dtype=complex)
 
 
 def system_delta_operators() -> list[tuple[np.ndarray, str]]:
     """The five two-qubit operators commuting with |01><10| (and |10><01|)."""
-    sx, sy, sz, i2 = _pauli_products()
+    sx, sy, sz, i2 = _PAULI["pauli_x"], _PAULI["pauli_y"], _PAULI["pauli_z"], _I2
     return [
         (np.kron(sz, i2) + np.kron(i2, sz), "sz1+sz2"),
         (np.kron(sz, sz), "sz1 sz2"),
@@ -82,7 +77,7 @@ def system_delta_operators() -> list[tuple[np.ndarray, str]]:
 
 def complement_operators() -> list[tuple[np.ndarray, str]]:
     """Three two-qubit operators transverse to ker(dy)."""
-    sx, sy, sz, i2 = _pauli_products()
+    sx, sy, sz, i2 = _PAULI["pauli_x"], _PAULI["pauli_y"], _PAULI["pauli_z"], _I2
     return [
         (np.kron(sz, i2) - np.kron(i2, sz), "sz1-sz2"),
         (np.kron(sx, sx) + np.kron(sy, sy), "sx sx + sy sy"),
@@ -197,10 +192,15 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
     def _bracket(a: Operator, b: Operator) -> Operator:
         return Operator(a.matrix @ b.matrix - b.matrix @ a.matrix)
 
-    def _must_lie_in(kind: str, br: Operator, basis_ops, label: str):
-        if br.norm() <= 1e-13 * max(1.0, *(opnorm(b.matrix) for b in basis_ops)):
+    def _checked_span(basis_ops: list[Operator]) -> tuple[Span, float]:
+        # brackets below this norm are taken as zero, not tested
+        return Span(basis_ops, tol), 1e-13 * max(1.0, *(opnorm(b.matrix) for b in basis_ops))
+
+    def _must_lie_in(kind: str, br: Operator, checked: tuple[Span, float], label: str):
+        span, zero_norm = checked
+        if br.norm() <= zero_norm:
             return
-        m = span_membership(br, basis_ops, tol)
+        m = span.membership(br)
         rel = m.residual_norm / max(br.norm(), 1e-300)
         table[kind] = max(table[kind], rel)
         if not m.is_member:
@@ -208,19 +208,22 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
                 f"commutation table violated: {label} leaves its span "
                 f"(relative residual {rel:.3e})")
 
+    in_delta = _checked_span(delta_list)
+    in_delta_g = _checked_span(delta_list + ctrl_ops)
+    in_g = _checked_span(ctrl_ops)
     for i, da in enumerate(delta_list):
         for db in delta_list[i + 1:]:
-            _must_lie_in("delta_delta", _bracket(da, db), delta_list,
+            _must_lie_in("delta_delta", _bracket(da, db), in_delta,
                          f"[{da.label}, {db.label}]")
         for g in ctrl_ops:
-            _must_lie_in("delta_g", _bracket(da, g), delta_list + ctrl_ops,
+            _must_lie_in("delta_g", _bracket(da, g), in_delta_g,
                          f"[{da.label}, {g.label}]")
         for d in complement_ops:
-            _must_lie_in("delta_d", _bracket(da, d), delta_list,
+            _must_lie_in("delta_d", _bracket(da, d), in_delta,
                          f"[{da.label}, {d.label}]")
     for d in complement_ops:
         for g in ctrl_ops:
-            _must_lie_in("d_g", _bracket(d, g), list(ctrl_ops),
+            _must_lie_in("d_g", _bracket(d, g), in_g,
                          f"[{d.label}, {g.label}]")
 
     return InvariantBasis(
