@@ -28,12 +28,12 @@ import scipy.linalg
 
 from .geometry import LinearVectorField
 from .operators import (
+    _PAULI,
     NumericalError,
     Operator,
     TensorLayout,
     TimeOperator,
     TimeTerm,
-    commutator,
     kron_embed,
     make_primitive,
     matrix_exponential,
@@ -152,32 +152,33 @@ def build_one_qubit(params: ModelParams = ModelParams()) -> SystemModel:
     )
 
 
-def _two_qubit_sys_ops():
-    sx = make_primitive("pauli_x", 2).matrix
-    sy = make_primitive("pauli_y", 2).matrix
-    sz = make_primitive("pauli_z", 2).matrix
-    i2 = np.eye(2, dtype=complex)
-    return sx, sy, sz, i2
+_SX, _SY, _SZ = _PAULI["pauli_x"], _PAULI["pauli_y"], _PAULI["pauli_z"]
+_I2 = np.eye(2, dtype=complex)
 
 
-def build_two_qubit(params: ModelParams = ModelParams()) -> SystemModel:
-    """Two qubits, collective dephasing, the four bare single-qubit controls."""
+def _environment_powers(params: ModelParams) -> list[np.ndarray]:
+    """[I, D_w, D_w^2] on the truncated mode, D_w = w b^+ + w* b."""
+    d_w = make_primitive("displacement", params.env_levels, w=params.w).matrix
+    return [np.eye(params.env_levels, dtype=complex), d_w, d_w @ d_w]
+
+
+def _collective_dephasing(params: ModelParams, name: str,
+                          controls: list[Operator]) -> SystemModel:
+    """Two qubits dephasing collectively into one mode, monitored by |01><10| x I.
+
+    H0 = (omega0 / 2)(sz1 + sz2) + omega_env n and H_SE = (sz1 + sz2) D_g;
+    `controls` are the Hermitian control operators on the same layout.
+    """
     n_env = params.env_levels
     layout = TensorLayout((2, 2, n_env), ("q0", "q1", "env"))
-    sx, sy, sz, i2 = _two_qubit_sys_ops()
     eye_env = np.eye(n_env, dtype=complex)
 
-    sz_sum = np.kron(sz, i2) + np.kron(i2, sz)
+    sz_sum = np.kron(_SZ, _I2) + np.kron(_I2, _SZ)
     number = _number_op(n_env).matrix
     h0 = Operator((params.omega0 / 2.0) * np.kron(sz_sum, eye_env)
                   + params.omega_env * np.kron(np.eye(4), number), "hermitian", "H0")
     d_g = make_primitive("displacement", n_env, w=params.g)
     h_se = Operator(np.kron(sz_sum, d_g.matrix), "hermitian", "H_SE")
-
-    sys_controls = [(np.kron(sx, i2), "sx1"), (np.kron(sy, i2), "sy1"),
-                    (np.kron(i2, sx), "sx2"), (np.kron(i2, sy), "sy2")]
-    controls = tuple(Operator(np.kron(m, eye_env), "hermitian", lab).times_minus_i()
-                     for m, lab in sys_controls)
 
     proj = np.zeros((4, 4), dtype=complex)
     proj[1, 2] = 1.0  # |01><10| in the basis 00, 01, 10, 11
@@ -185,12 +186,21 @@ def build_two_qubit(params: ModelParams = ModelParams()) -> SystemModel:
     return SystemModel(
         layout=layout,
         drift=h0.times_minus_i(),
-        controls=controls,
+        controls=tuple(op.times_minus_i() for op in controls),
         interaction=h_se.times_minus_i(),
         coherence_op=C,
         params=params,
-        name="two_qubit",
+        name=name,
     )
+
+
+def build_two_qubit(params: ModelParams = ModelParams()) -> SystemModel:
+    """Two qubits, collective dephasing, the four bare single-qubit controls."""
+    eye_env = np.eye(params.env_levels, dtype=complex)
+    sys_controls = [(np.kron(_SX, _I2), "sx1"), (np.kron(_SY, _I2), "sy1"),
+                    (np.kron(_I2, _SX), "sx2"), (np.kron(_I2, _SY), "sy2")]
+    return _collective_dephasing(params, "two_qubit", [
+        Operator(np.kron(m, eye_env), "hermitian", lab) for m, lab in sys_controls])
 
 
 def build_electrooptic(n_sys: int = 10, params: ModelParams = ModelParams(g=1.0)) -> SystemModel:
@@ -242,7 +252,7 @@ def build_ancilla_system(params: ModelParams = ModelParams()) -> SystemModel:
     """
     n_env = params.env_levels
     layout = TensorLayout((2, 2, 2, n_env), ("q0", "q1", "anc", "env"))
-    sx, sy, sz, i2 = _two_qubit_sys_ops()
+    sx, sy, sz, i2 = _SX, _SY, _SZ, _I2
     eye_env = np.eye(n_env, dtype=complex)
 
     def sys3(m1, m2, mb):
@@ -287,7 +297,7 @@ RESTRUCTURED_SYSTEM_LABELS = ("sx1", "sy1", "sx2", "sy2",
 
 def restructured_system_operators() -> list[np.ndarray]:
     """The eight two-qubit operators dressed by the environment powers."""
-    sx, sy, sz, i2 = _two_qubit_sys_ops()
+    sx, sy, sz, i2 = _SX, _SY, _SZ, _I2
     return [np.kron(sx, i2), np.kron(sy, i2), np.kron(i2, sx), np.kron(i2, sy),
             np.kron(sz, sx), np.kron(sz, sy), np.kron(sx, sz), np.kron(sy, sz)]
 
@@ -301,38 +311,11 @@ def build_restructured(params: ModelParams = ModelParams()) -> SystemModel:
     it); its drift term is dropped with it.  D^2 is the square of the
     truncated D, keeping the dressed algebra self-consistent.
     """
-    n_env = params.env_levels
-    layout = TensorLayout((2, 2, n_env), ("q0", "q1", "env"))
-    sx, sy, sz, i2 = _two_qubit_sys_ops()
-    eye_env = np.eye(n_env, dtype=complex)
-
-    number = _number_op(n_env).matrix
-    sz_sum = np.kron(sz, i2) + np.kron(i2, sz)
-    h0 = Operator((params.omega0 / 2.0) * np.kron(sz_sum, eye_env)
-                  + params.omega_env * np.kron(np.eye(4), number), "hermitian", "H0")
-    d_g = make_primitive("displacement", n_env, w=params.g)
-    h_se = Operator(np.kron(sz_sum, d_g.matrix), "hermitian", "H_SE")
-
-    d_w = make_primitive("displacement", n_env, w=params.w).matrix
-    env_powers = [np.eye(n_env, dtype=complex), d_w, d_w @ d_w]
-    controls = []
-    for s_op, s_lab in zip(restructured_system_operators(), RESTRUCTURED_SYSTEM_LABELS):
-        for i, env in enumerate(env_powers):
-            controls.append(Operator(np.kron(s_op, env), "hermitian",
-                                     f"{s_lab} D^{i}").times_minus_i())
-
-    proj = np.zeros((4, 4), dtype=complex)
-    proj[1, 2] = 1.0
-    C = Operator(np.kron(proj, eye_env), "general", "|01><10|")
-    return SystemModel(
-        layout=layout,
-        drift=h0.times_minus_i(),
-        controls=tuple(controls),
-        interaction=h_se.times_minus_i(),
-        coherence_op=C,
-        params=params,
-        name="restructured",
-    )
+    env_powers = _environment_powers(params)
+    return _collective_dephasing(params, "restructured", [
+        Operator(np.kron(s_op, env), "hermitian", f"{s_lab} D^{i}")
+        for s_op, s_lab in zip(restructured_system_operators(), RESTRUCTURED_SYSTEM_LABELS)
+        for i, env in enumerate(env_powers)])
 
 
 def cbh_effective_generator(HA: Operator, HB: Operator, t: float) -> tuple[Operator, Operator]:

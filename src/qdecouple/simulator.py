@@ -1,10 +1,15 @@
 """Time integration of open- and closed-loop dynamics and decoupling reports.
 
-Fixed-step classical fourth-order integration throughout, for deterministic,
-reproducible comparison runs.  Closed-loop feedback is re-synthesized at
-every integrator stage.  Trajectories record the complex coherence
-y(t) = <xi|C|xi>, the state norm, and the applied controls; a norm guard
-aborts any run whose state norm drifts beyond the configured budget.
+The three trajectory functions share one time loop (`_propagate`), which
+validates the inputs, records the complex coherence y(t) = <xi|C|xi>, the
+state norm and the applied controls, and aborts through the norm guard any
+run whose state norm drifts beyond the configured budget.  At each grid
+point the loop asks a step rule for the applied control and the next state:
+fixed-step classical fourth-order integration (`_rk4`) for the open loop,
+u = v(t), and the closed loop, u = alpha(xi) + beta(xi) v(t) with the
+feedback re-synthesized at every stage; or a cached per-segment matrix
+exponential for the exact cross-check.  A (piecewise-)constant drive v is
+frozen over each step, so every run is deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .models import ModelParams, SystemModel
-from .operators import Operator, TimeOperator
+from .operators import TimeOperator
 from .synthesis import (
     DegenerateStateError,
     FeedbackSynthesizer,
@@ -174,10 +179,20 @@ def _check_norm(nrm: float, t: float, guard: float, context: str):
             f"(budget {guard:g}); reduce dt or inspect the control magnitudes")
 
 
-def integrate_open_loop(model: SystemModel, schedule: ControlSchedule,
-                        xi0: np.ndarray, t_end: float, dt: float = DEFAULT_DT,
-                        norm_guard: float = DEFAULT_NORM_GUARD) -> Trajectory:
-    """Fixed-step RK4 for xi' = (drift + sum u_i(t) control_i + interaction) xi."""
+# step(t, xi, last) -> (control applied at t, state at t + dt; None when last)
+StepRule = Callable[[float, np.ndarray, bool], tuple[np.ndarray, Optional[np.ndarray]]]
+
+
+def _propagate(model: SystemModel, schedule: ControlSchedule, xi0: np.ndarray,
+               t_end: float, dt: float, norm_guard: float, context: str, mode: str,
+               make_step: Callable[[np.ndarray, np.ndarray], StepRule]) -> Trajectory:
+    """The time loop behind every trajectory function.
+
+    Validates the inputs, then builds the step rule from the static
+    generator (drift + interaction) and the stacked control generators, and
+    calls it once per grid point, recording the state, y, the norm and the
+    applied control; the norm guard runs before each step.
+    """
     xi = np.asarray(xi0, dtype=complex).ravel()
     if abs(np.linalg.norm(xi) - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
@@ -187,20 +202,11 @@ def integrate_open_loop(model: SystemModel, schedule: ControlSchedule,
         raise ValueError(f"schedule has {schedule.n_channels} channels, "
                          f"model expects {model.n_controls}")
 
-    static = model.drift.matrix + model.interaction.matrix
-    ctrl = np.stack([op.matrix for op in model.controls])
+    step = make_step(model.drift.matrix + model.interaction.matrix,
+                     np.stack([op.matrix for op in model.controls]))
     n_steps = int(round(t_end / dt))
-    dim = model.dim
-    # (piecewise-)constant drives are frozen over each step, so the stage at
-    # t + dt cannot leak the next segment's value into the current step
-    freeze_per_step = schedule.kind in ("constant", "piecewise_constant")
-
-    def rhs(t: float, state: np.ndarray, u_frozen) -> np.ndarray:
-        u = u_frozen if u_frozen is not None else schedule(t)
-        return static @ state + np.tensordot(u, ctrl, axes=1) @ state
-
     times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, dim), dtype=complex)
+    states = np.empty((n_steps + 1, model.dim), dtype=complex)
     ys = np.empty(n_steps + 1, dtype=complex)
     norms = np.empty(n_steps + 1)
     controls = np.empty((n_steps + 1, model.n_controls))
@@ -211,19 +217,49 @@ def integrate_open_loop(model: SystemModel, schedule: ControlSchedule,
         states[k] = xi
         norms[k] = np.linalg.norm(xi)
         ys[k] = np.vdot(xi, _coherence_matrix(model, t) @ xi)
-        controls[k] = schedule(t)
-        _check_norm(norms[k], t, norm_guard, "open-loop integration")
-        if k == n_steps:
-            break
-        u_step = schedule(t) if freeze_per_step else None
-        k1 = rhs(t, xi, u_step)
-        k2 = rhs(t + dt / 2, xi + (dt / 2) * k1, u_step)
-        k3 = rhs(t + dt / 2, xi + (dt / 2) * k2, u_step)
-        k4 = rhs(t + dt, xi + dt * k3, u_step)
-        xi = xi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        _check_norm(norms[k], t, norm_guard, context)
+        controls[k], xi = step(t, xi, k == n_steps)
 
     return Trajectory(times, states, ys, norms, controls,
-                      {"mode": "open", "dt": dt, "model": model.name})
+                      {"mode": mode, "dt": dt, "model": model.name})
+
+
+def _rk4(static: np.ndarray, ctrl: np.ndarray, schedule: ControlSchedule, dt: float,
+         control: Optional[Callable] = None) -> StepRule:
+    """Classical fourth-order step for xi' = (static + sum_i u_i ctrl_i) xi.
+
+    u is the drive v itself, or `control(t, state, v)` in closed loop.  A
+    (piecewise-)constant drive is frozen at its value at the step start, so
+    the stage at t + dt cannot leak the next segment's value into the
+    current step; other drives are evaluated at each stage time.
+    """
+    frozen = schedule.kind in ("constant", "piecewise_constant")
+
+    def rhs(t: float, state: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = v if control is None else control(t, state, v)
+        return static @ state + np.tensordot(u, ctrl, axes=1) @ state, u
+
+    def step(t: float, xi: np.ndarray, last: bool):
+        v1 = schedule(t)
+        k1, u1 = rhs(t, xi, v1)
+        if last:
+            return u1, None
+        v2, v4 = (v1, v1) if frozen else (schedule(t + dt / 2), schedule(t + dt))
+        k2, _ = rhs(t + dt / 2, xi + (dt / 2) * k1, v2)
+        k3, _ = rhs(t + dt / 2, xi + (dt / 2) * k2, v2)
+        k4, _ = rhs(t + dt, xi + dt * k3, v4)
+        return u1, xi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    return step
+
+
+def integrate_open_loop(model: SystemModel, schedule: ControlSchedule,
+                        xi0: np.ndarray, t_end: float, dt: float = DEFAULT_DT,
+                        norm_guard: float = DEFAULT_NORM_GUARD) -> Trajectory:
+    """Fixed-step RK4 for xi' = (drift + sum u_i(t) control_i + interaction) xi."""
+    return _propagate(model, schedule, xi0, t_end, dt, norm_guard,
+                      "open-loop integration", "open",
+                      lambda static, ctrl: _rk4(static, ctrl, schedule, dt))
 
 
 def propagate_piecewise_exact(model: SystemModel, schedule: ControlSchedule,
@@ -237,38 +273,23 @@ def propagate_piecewise_exact(model: SystemModel, schedule: ControlSchedule,
     """
     if schedule.kind not in ("constant", "piecewise_constant"):
         raise ValueError("exact propagation requires a (piecewise-)constant schedule")
-    xi = np.asarray(xi0, dtype=complex).ravel()
-    static = model.drift.matrix + model.interaction.matrix
-    ctrl = np.stack([op.matrix for op in model.controls])
-    n_steps = int(round(t_end / dt))
-    dim = model.dim
 
-    cache: dict[bytes, np.ndarray] = {}
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, dim), dtype=complex)
-    ys = np.empty(n_steps + 1, dtype=complex)
-    norms = np.empty(n_steps + 1)
-    controls = np.empty((n_steps + 1, model.n_controls))
+    def exact_step(static: np.ndarray, ctrl: np.ndarray) -> StepRule:
+        cache: dict[bytes, np.ndarray] = {}
 
-    for k in range(n_steps + 1):
-        t = k * dt
-        times[k] = t
-        states[k] = xi
-        norms[k] = np.linalg.norm(xi)
-        ys[k] = np.vdot(xi, _coherence_matrix(model, t) @ xi)
-        u = schedule(t)
-        controls[k] = u
-        if k == n_steps:
-            break
-        key = u.tobytes()
-        U = cache.get(key)
-        if U is None:
-            U = scipy.linalg.expm((static + np.tensordot(u, ctrl, axes=1)) * dt)
-            cache[key] = U
-        xi = U @ xi
+        def step(t: float, xi: np.ndarray, last: bool):
+            u = schedule(t)
+            if last:
+                return u, None
+            key = u.tobytes()
+            if key not in cache:
+                cache[key] = scipy.linalg.expm((static + np.tensordot(u, ctrl, axes=1)) * dt)
+            return u, cache[key] @ xi
 
-    return Trajectory(times, states, ys, norms, controls,
-                      {"mode": "exact", "dt": dt, "model": model.name})
+        return step
+
+    return _propagate(model, schedule, xi0, t_end, dt, DEFAULT_NORM_GUARD,
+                      "exact propagation", "exact", exact_step)
 
 
 def integrate_closed_loop(model: SystemModel, v_schedule: ControlSchedule,
@@ -281,82 +302,46 @@ def integrate_closed_loop(model: SystemModel, v_schedule: ControlSchedule,
 
     The applied control is u = alpha(xi) + beta(xi) v(t); `feedback`
     selects the synthesizer: "least_squares" for the least-squares/null-space
-    algorithm (requires `basis`), "protective" for the block-protecting
-    projector feedback.
+    algorithm (built from `basis`, or from a fresh invariant basis when it is
+    None), "protective" for the block-protecting projector feedback.
     """
-    xi = np.asarray(xi0, dtype=complex).ravel()
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-9:
-        raise ValueError("initial state must be normalized")
-    if v_schedule.n_channels != model.n_controls:
-        raise ValueError(f"v schedule has {v_schedule.n_channels} channels, "
-                         f"model expects {model.n_controls}")
-
-    if feedback == "least_squares":
-        if basis is None:
-            basis = build_invariant_basis(model)
-        synth = FeedbackSynthesizer(model, basis, tol)
-    elif feedback == "protective":
-        synth = ProtectiveSynthesizer(model)
-    else:
-        raise ValueError(f"unknown feedback mode {feedback!r}")
-
-    static = model.drift.matrix + model.interaction.matrix
-    ctrl = np.stack([op.matrix for op in model.controls])
-    n_steps = int(round(t_end / dt))
-    dim = model.dim
-
     ranks_seen: set[tuple] = set()
     n_warnings = 0
     beta_rank_min = model.n_controls
     max_step_residual = 0.0
 
-    def stage(t: float, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal n_warnings, beta_rank_min, max_step_residual
-        try:
-            s = synth.sample(state)
-        except DegenerateStateError as exc:
-            raise DegenerateStateError(
-                f"{exc} [closed-loop stage at t = {t:.6f}; state dump: "
-                f"{np.array2string(state, precision=6)}]") from exc
-        ranks_seen.add(s.ranks)
-        n_warnings += len(s.warnings)
-        beta_rank_min = min(beta_rank_min, s.beta_rank)
-        if s.residuals:
-            max_step_residual = max(max_step_residual, max(s.residuals[:-1], default=0.0))
-        u = s.alpha + s.beta @ v_schedule(t)
-        return static @ state + np.tensordot(u, ctrl, axes=1) @ state, u
+    def feedback_step(static: np.ndarray, ctrl: np.ndarray) -> StepRule:
+        if feedback == "least_squares":
+            synth = FeedbackSynthesizer(
+                model, build_invariant_basis(model) if basis is None else basis, tol)
+        elif feedback == "protective":
+            synth = ProtectiveSynthesizer(model)
+        else:
+            raise ValueError(f"unknown feedback mode {feedback!r}")
 
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, dim), dtype=complex)
-    ys = np.empty(n_steps + 1, dtype=complex)
-    norms = np.empty(n_steps + 1)
-    controls = np.empty((n_steps + 1, model.n_controls))
+        def control(t: float, state: np.ndarray, v: np.ndarray) -> np.ndarray:
+            nonlocal n_warnings, beta_rank_min, max_step_residual
+            try:
+                s = synth.sample(state)
+            except DegenerateStateError as exc:
+                raise DegenerateStateError(
+                    f"{exc} [closed-loop stage at t = {t:.6f}; state dump: "
+                    f"{np.array2string(state, precision=6)}]") from exc
+            ranks_seen.add(s.ranks)
+            n_warnings += len(s.warnings)
+            beta_rank_min = min(beta_rank_min, s.beta_rank)
+            if s.residuals:
+                max_step_residual = max(max_step_residual,
+                                        max(s.residuals[:-1], default=0.0))
+            return s.alpha + s.beta @ v
 
-    for k in range(n_steps + 1):
-        t = k * dt
-        times[k] = t
-        states[k] = xi
-        norms[k] = np.linalg.norm(xi)
-        ys[k] = np.vdot(xi, _coherence_matrix(model, t) @ xi)
-        _check_norm(norms[k], t, norm_guard, "closed-loop integration")
-        k1, u0 = stage(t, xi)
-        controls[k] = u0
-        if k == n_steps:
-            break
-        k2, _ = stage(t + dt / 2, xi + (dt / 2) * k1)
-        k3, _ = stage(t + dt / 2, xi + (dt / 2) * k2)
-        k4, _ = stage(t + dt, xi + dt * k3)
-        xi = xi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return _rk4(static, ctrl, v_schedule, dt, control)
 
-    return Trajectory(times, states, ys, norms, controls, {
-        "mode": f"closed:{feedback}",
-        "dt": dt,
-        "model": model.name,
-        "ranks_seen": sorted(ranks_seen),
-        "synthesis_warnings": n_warnings,
-        "beta_rank_min": beta_rank_min,
-        "max_step1_residual": max_step_residual,
-    })
+    traj = _propagate(model, v_schedule, xi0, t_end, dt, norm_guard,
+                      "closed-loop integration", f"closed:{feedback}", feedback_step)
+    traj.diagnostics.update(ranks_seen=sorted(ranks_seen), synthesis_warnings=n_warnings,
+                            beta_rank_min=beta_rank_min, max_step1_residual=max_step_residual)
+    return traj
 
 
 def compare_decoupling(model_builder: Callable[[ModelParams], SystemModel],

@@ -21,13 +21,13 @@ Two synthesizers are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
-from .models import SystemModel
+from .models import SystemModel, _environment_powers
 from .operators import _PAULI, Operator, Span, opnorm
 
 __all__ = [
@@ -151,12 +151,7 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
     as well (the documented fallback variation).
     """
     _check_restructured(model)
-    n_env = model.params.env_levels
-    eye_env = np.eye(n_env, dtype=complex)
-    from .operators import make_primitive  # local import keeps module load light
-
-    d_w = make_primitive("displacement", n_env, w=model.params.w).matrix
-    env_powers = [eye_env, d_w, d_w @ d_w]
+    env_powers = _environment_powers(model.params)
 
     deltas4 = system_delta_operators()
     system_deltas = tuple(Operator(m, "hermitian", lab) for m, lab in deltas4)
@@ -171,7 +166,7 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
             for m, lab in comp4 for i, env in enumerate(env_powers))
     else:
         complement_ops = tuple(
-            Operator(np.kron(m, eye_env), "hermitian", lab) for m, lab in comp4)
+            Operator(np.kron(m, env_powers[0]), "hermitian", lab) for m, lab in comp4)
 
     C = model.coherence_op
     c_scale = max(C.norm(), 1.0)
@@ -409,22 +404,7 @@ def synthesize_alpha_beta(xi: np.ndarray, model: SystemModel, basis: InvariantBa
     reals; complete beta from the null space of the stacked field matrix,
     greedily maximizing independence of the growing column set.
     """
-    synth = _cached_synthesizer(model, basis, tol)
-    return synth.sample(xi)
-
-
-def _cached_synthesizer(model: SystemModel, basis: InvariantBasis,
-                        tol: float) -> FeedbackSynthesizer:
-    cache = getattr(basis, "_synth_cache", None)
-    if cache is None:
-        cache = {}
-        basis._synth_cache = cache
-    key = (id(model), float(tol))
-    synth = cache.get(key)
-    if synth is None or synth.model is not model:
-        synth = FeedbackSynthesizer(model, basis, tol)
-        cache[key] = synth
-    return synth
+    return FeedbackSynthesizer(model, basis, tol).sample(xi)
 
 
 def verify_synthesis(sample: ControlLawSample, model: SystemModel,

@@ -1,3 +1,4 @@
+import functools
 import os
 
 import numpy as np
@@ -114,15 +115,6 @@ def test_open_loop_richardson_fourth_order():
     assert errs[1] / errs[2] >= 8.0
 
 
-def test_open_loop_input_validation():
-    m = build_two_qubit()
-    xi0 = preset_state(m, "dfs_pair")
-    with pytest.raises(ValueError):
-        integrate_open_loop(m, ControlSchedule.zero(3), xi0, 1.0)
-    with pytest.raises(ValueError):
-        integrate_open_loop(m, ControlSchedule.zero(4), 2.0 * xi0, 1.0)
-
-
 def test_immunity_verdict_implies_identical_traces(rng):
     # open-loop immunity verdict implies |y| traces match with and without
     # the interaction, for arbitrary piecewise-constant drives
@@ -225,6 +217,52 @@ def test_closed_loop_protective_richardson(restructured_model, rng):
         errs.append(np.linalg.norm(traj.states[-1] - ref.states[-1]))
     assert errs[0] / errs[1] >= 8.0
     assert errs[1] / errs[2] >= 8.0
+
+
+# ---------------------------------------------------------------------------
+# the shared time loop
+# ---------------------------------------------------------------------------
+
+_TRAJECTORY_FUNCTIONS = {
+    "open": integrate_open_loop,
+    "exact": propagate_piecewise_exact,
+    "closed": functools.partial(integrate_closed_loop, feedback="protective"),
+}
+_BAD_INPUT_MESSAGES = {"unnormalized": "normalized", "zero_dt": "positive",
+                       "negative_t_end": "positive", "wrong_channels": "channels"}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_INPUT_MESSAGES))
+@pytest.mark.parametrize("function", sorted(_TRAJECTORY_FUNCTIONS))
+def test_trajectory_input_validation(function, bad):
+    # every trajectory function rejects the same bad inputs with the same
+    # ValueError, before taking a step
+    m = build_restructured() if function == "closed" else build_two_qubit()
+    xi0 = preset_state(m, "dfs_pair")
+    n = m.n_controls - 1 if bad == "wrong_channels" else m.n_controls
+    args = {"xi0": 2.0 * xi0 if bad == "unnormalized" else xi0,
+            "t_end": -1.0 if bad == "negative_t_end" else 0.01,
+            "dt": 0.0 if bad == "zero_dt" else 1e-3}
+    with pytest.raises(ValueError, match=_BAD_INPUT_MESSAGES[bad]):
+        _TRAJECTORY_FUNCTIONS[function](m, ControlSchedule.zero(n), **args)
+
+
+@pytest.mark.parametrize("mode", ["open", "closed"])
+def test_piecewise_drive_is_frozen_per_step(restructured_model, mode):
+    # a run across a breakpoint on the grid equals a constant run up to the
+    # breakpoint continued by a constant run from the state it reached: the
+    # step before the breakpoint must not see the next segment's value
+    m = restructured_model
+    xi0 = random_state(np.random.default_rng(4711), m.dim)
+    first, second = np.zeros(24), np.zeros(24)
+    first[[0, 3, 6, 9]] = 1.0
+    second[[1, 4, 7, 10]] = 0.5
+    run = _TRAJECTORY_FUNCTIONS[mode]
+    whole = run(m, ControlSchedule.piecewise_constant([0.1], [first, second]),
+                xi0, 0.2, 1e-3)
+    head = run(m, ControlSchedule.constant(first), xi0, 0.1, 1e-3)
+    tail = run(m, ControlSchedule.constant(second), head.states[-1], 0.1, 1e-3)
+    assert np.abs(whole.states[-1] - tail.states[-1]).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
