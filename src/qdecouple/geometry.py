@@ -20,8 +20,8 @@ from .operators import (
     OperatorLike,
     Span,
     commutator,
-    span_membership,
 )
+from .invariance import _closure
 
 __all__ = [
     "LinearVectorField",
@@ -165,37 +165,22 @@ def closure_under_brackets(seeds: Sequence[LinearVectorField],
                            fields: Sequence[LinearVectorField],
                            tol: float = DEFAULT_TOL,
                            depth_cap: int = 12) -> list[LinearVectorField]:
-    """Brute-force bracket closure of seed fields under drift/control fields.
+    """Bracket closure of seed fields under drift/control fields.
 
     The canonical invariant-distribution candidate when none is supplied:
     grow span{seeds} by repeated vf_bracket with the given fields until the
-    rank stagnates.  Generators are normalized as they are added.
+    rank stagnates, on the walk of :func:`~qdecouple.invariance.generate_ctilde`.
+    Returns unit-norm fields in acceptance order, bracket results labelled
+    ``[d,f]``.
     """
-    basis: list[LinearVectorField] = []
-    span_ops: list[Operator] = []
+    def bracket(f: LinearVectorField):
+        n_f = f.generator.norm()
+        return lambda d, d_norm: (vf_bracket(LinearVectorField(d), f).generator,
+                                  2.0 * d_norm * n_f)
 
-    def try_add(fieldv: LinearVectorField) -> bool:
-        gen = fieldv.generator
-        n = gen.norm()
-        if n == 0.0:
-            return False
-        gen = (1.0 / n) * gen
-        if span_ops:
-            m = span_membership(gen, span_ops, tol)
-            if m.is_member:
-                return False
-        basis.append(LinearVectorField(gen, fieldv.label))
-        span_ops.append(gen)
-        return True
-
-    for s in seeds:
-        try_add(s)
-    for _ in range(depth_cap):
-        added = False
-        for d in list(basis):
-            for f in fields:
-                if try_add(vf_bracket(d, f)):
-                    added = True
-        if not added:
-            break
-    return basis
+    gens, origins, _, _ = _closure([s.generator for s in seeds],
+                                   [bracket(f) for f in fields], depth_cap, tol)
+    labels: list[str] = []
+    for j, k in origins:
+        labels.append(seeds[k].label if j is None else f"[{labels[j]},{fields[k].label}]")
+    return [LinearVectorField(g, lab) for g, lab in zip(gens, labels)]

@@ -10,12 +10,13 @@ coherence operators a collective-dephasing register preserves.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .operators import (
+    DimensionMismatchError,
     Operator,
     OperatorLike,
     TimeOperator,
@@ -56,10 +57,11 @@ class _KeyedSpan:
         self.basis = np.zeros((0, 0), dtype=complex)  # rows orthonormal
         self.scale = 0.0
 
-    def _extend_keys(self, op: OperatorLike, dim2: int):
+    def _extend_keys(self, op: OperatorLike):
         new = [k for k in _collect_keys([op]) if k not in self.keys]
         if new:
             self.keys.extend(new)
+            dim2 = op.dim * op.dim
             pad = np.zeros((self.basis.shape[0], len(new) * dim2), dtype=complex)
             self.basis = np.concatenate([self.basis, pad], axis=1) \
                 if self.basis.size else np.zeros((0, len(self.keys) * dim2), dtype=complex)
@@ -68,34 +70,76 @@ class _KeyedSpan:
         # (B @ v*)* is B* @ v without copying the basis to conjugate it
         return v - (self.basis @ v.conj()).conj() @ self.basis
 
-    def add(self, op: OperatorLike, dim2: int) -> tuple[bool, float]:
-        """Orthogonalize op against the span; returns (added, residual)."""
-        self._extend_keys(op, dim2)
+    def add(self, op: OperatorLike) -> bool:
+        """Orthogonalize op against the span; True when it extends the span."""
+        self._extend_keys(op)
         v = vectorize(op, tuple(self.keys))
-        nrm = float(np.linalg.norm(v))
-        self.scale = max(self.scale, nrm)
-        if nrm == 0.0:
-            return False, 0.0
-        # orthogonalize twice: one pass loses orthogonality near the cutoff
-        r = self._project_out(self._project_out(v)) if self.basis.shape[0] else v
-        rn = float(np.linalg.norm(r))
-        if rn > self.tol * max(self.scale, 1e-300):
-            row = (r / rn)[None, :]
-            self.basis = np.concatenate([self.basis, row], axis=0) if self.basis.size else row
-            return True, rn
-        return False, rn
+        if v.size != self.basis.shape[1]:
+            raise DimensionMismatchError(f"operator has {v.size} entries, the span "
+                                         f"{self.basis.shape[1]}")
+        self.scale = max(self.scale, float(np.linalg.norm(v)))
+        cutoff = self.tol * max(self.scale, 1e-300)
+        if self.basis.shape[0]:
+            # a second pass only shrinks the residual, so reject on the first;
+            # survivors get the second, as one pass loses orthogonality near
+            # the cutoff
+            v = self._project_out(v)
+            if np.linalg.norm(v) <= cutoff:
+                return False
+            v = self._project_out(v)
+        rn = float(np.linalg.norm(v))
+        if rn <= cutoff:
+            return False
+        self.basis = np.concatenate([self.basis, (v / rn)[None, :]])
+        return True
+
+
+def _closure(seeds: Sequence[OperatorLike], brackets: Sequence[Callable],
+             depth_cap: int, tol: float):
+    """Smallest bracket-closed family containing `seeds`, as unit-norm generators.
+
+    Each sweep applies every bracket, `(T, |T|) -> (candidate, scale of its
+    ingredients)`, to every generator held at the sweep's start.  Candidates
+    below 1e-12 times their scale are cancellation noise, which normalizing
+    would turn into spurious directions.  Returns (generators, origins,
+    depth, converged); origins[i] is (None, s) for seed s and (j, k) for
+    bracket k applied to generator j.
+    """
+    span = _KeyedSpan(tol)
+    gens: list[OperatorLike] = []
+    origins: list[tuple[Optional[int], int]] = []
+
+    def add(op: OperatorLike, floor: float, origin: tuple[Optional[int], int]):
+        n = op.norm()
+        if n > floor and np.isfinite(n):
+            op = (1.0 / n) * op
+            if span.add(op):
+                gens.append(op)
+                origins.append(origin)
+
+    for s, seed in enumerate(seeds):
+        add(seed, 0.0, (None, s))
+    depth = 0
+    for depth in range(1, depth_cap + 1):
+        before = len(gens)
+        for j in range(before):
+            t_norm = gens[j].norm()
+            for k, bracket in enumerate(brackets):
+                cand, scale = bracket(gens[j], t_norm)
+                add(cand, 1e-12 * max(1.0, scale), (j, k))
+        if len(gens) == before:
+            return gens, origins, depth, True
+    return gens, origins, depth, False
 
 
 @dataclass
 class OperatorDistribution:
-    """A finite generating set with an orthonormalized vectorized basis."""
+    """A finite set of unit-norm, linearly independent generators."""
 
     generators: list[OperatorLike]
     rank: int
     depth_reached: int
     converged: bool
-    keys: tuple[tuple[float, int], ...]
-    ortho_basis: np.ndarray = field(repr=False)
 
     def membership(self, op: OperatorLike, tol: float = DEFAULT_TOL):
         return span_membership(op, self.generators, tol)
@@ -116,6 +160,12 @@ def _drift_step(T: OperatorLike, H: Operator) -> OperatorLike:
     return bracket
 
 
+def _derivative_bound(T: OperatorLike) -> float:
+    if isinstance(T, TimeOperator):
+        return max((abs(t.frequency) + t.power for t in T.terms), default=0.0)
+    return 0.0
+
+
 def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
                     depth_cap: int = DEFAULT_DEPTH_CAP,
                     tol: float = DEFAULT_TOL) -> OperatorDistribution:
@@ -126,64 +176,20 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
     `tol` (relative to the largest vector seen); a full sweep that adds
     nothing terminates the iteration with converged=True.
     """
-    dim = C.dim
-    dim2 = dim * dim
-    span = _KeyedSpan(tol)
-    gens: list[OperatorLike] = []
+    def control(Hi: Operator):
+        n_i = Hi.norm()
+        return lambda T, t_norm: (commutator(T, Hi), 2.0 * t_norm * n_i)
 
-    def normalized(op: OperatorLike, floor: float = 0.0) -> Optional[OperatorLike]:
-        # a candidate far below the scale of its ingredients is cancellation
-        # noise; normalizing it up would inject spurious directions
-        n = op.norm()
-        if n <= max(floor, 0.0) or not np.isfinite(n):
-            return None
-        return (1.0 / n) * op
-
-    def derivative_bound(op: OperatorLike) -> float:
-        if isinstance(op, TimeOperator):
-            return max((abs(t.frequency) + t.power for t in op.terms), default=0.0)
-        return 0.0
-
-    first = normalized(C)
-    if first is None:
-        raise ValueError("coherence operator is zero")
-    span.add(first, dim2)
-    gens.append(first)
+    def drift(T: OperatorLike, t_norm: float):
+        return _drift_step(T, H), t_norm * (2.0 * h_norm + _derivative_bound(T))
 
     h_norm = H.norm()
-    ctrl_norms = [Hi.norm() for Hi in controls]
-
-    depth = 0
-    converged = False
-    while depth < depth_cap:
-        depth += 1
-        added_this_sweep = False
-        for T in list(gens):
-            t_norm = T.norm()
-            candidates = [(commutator(T, Hi), 2.0 * t_norm * n_i)
-                          for Hi, n_i in zip(controls, ctrl_norms)]
-            candidates.append((_drift_step(T, H),
-                               t_norm * (2.0 * h_norm + derivative_bound(T))))
-            for cand, scale in candidates:
-                cand = normalized(cand, floor=1e-12 * max(1.0, scale))
-                if cand is None:
-                    continue
-                added, _ = span.add(cand, dim2)
-                if added:
-                    gens.append(cand)
-                    added_this_sweep = True
-        if not added_this_sweep:
-            converged = True
-            break
-
-    return OperatorDistribution(
-        generators=gens,
-        rank=span.basis.shape[0],
-        depth_reached=depth,
-        converged=converged,
-        keys=tuple(span.keys),
-        ortho_basis=span.basis,
-    )
+    gens, _, depth, converged = _closure([C], [control(Hi) for Hi in controls] + [drift],
+                                         depth_cap, tol)
+    if not gens:
+        raise ValueError("coherence operator is zero")
+    return OperatorDistribution(generators=gens, rank=len(gens), depth_reached=depth,
+                                converged=converged)
 
 
 def check_open_loop_invariance(dist: OperatorDistribution, H_SE: Operator,

@@ -414,6 +414,11 @@ def vectorize(op: OperatorLike | np.ndarray,
     return np.concatenate(flat) if flat else np.zeros(0, dtype=complex)
 
 
+def _numerical_rank(s: np.ndarray, tol: float) -> int:
+    """Singular values above `tol` times the largest; 0 for an empty or zero spectrum."""
+    return int((s > tol * s[0]).sum()) if s.size and s[0] > 0 else 0
+
+
 class Span:
     """span(basis), vectorized and SVD-factored once, then tested against any
     number of targets.
@@ -436,7 +441,7 @@ class Span:
         self._B = np.stack([vectorize(op, self.keys) for op in items], axis=1)
         self._family_size = self._B.shape[0] // len(self.keys)
         u, s, vh = np.linalg.svd(self._B, full_matrices=False)
-        self.rank = int((s > tol * s[0]).sum()) if s.size and s[0] > 0 else 0
+        self.rank = _numerical_rank(s, tol)
         self._uh = u[:, :self.rank].conj().T
         self._s = s[:self.rank]
         self._v = vh[:self.rank].conj().T

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .models import SystemModel, _environment_powers
-from .operators import _PAULI, Operator, Span, opnorm
+from .operators import _PAULI, Operator, Span, _numerical_rank, opnorm
 
 __all__ = [
     "DegenerateStateError",
@@ -356,7 +356,7 @@ class FeedbackSynthesizer:
         Mt = np.concatenate([Gl, V_delta, V_comp, V_gc], axis=0)  # (nc + r, 2n)
         u_m, s_m, _ = scipy.linalg.svd(Mt, full_matrices=False, check_finite=False,
                                        lapack_driver="gesdd")
-        rank_m = int((s_m > tol * s_m[0]).sum()) if s_m.size and s_m[0] > 0 else 0
+        rank_m = _numerical_rank(s_m, tol)
         u_beta = u_m[:nc, :rank_m]                  # row-space basis, beta block
         cand = np.eye(nc) - u_beta @ u_beta.T       # beta part of P_null e_j
 
@@ -380,7 +380,7 @@ class FeedbackSynthesizer:
             beta[:, q + j] = cand[:, c_idx]
 
         s_beta = scipy.linalg.svd(beta, compute_uv=False, check_finite=False)
-        beta_rank = int((s_beta > tol * s_beta[0]).sum()) if s_beta[0] > 0 else 0
+        beta_rank = _numerical_rank(s_beta, tol)
 
         return ControlLawSample(
             state=xi.copy(),
@@ -428,7 +428,7 @@ def verify_synthesis(sample: ControlLawSample, model: SystemModel,
     delta_vecs = delta_gen @ xi
     Dl = np.concatenate([delta_vecs.real, delta_vecs.imag], axis=1).T  # (2n, nd)
     u_, s_, _ = np.linalg.svd(Dl, full_matrices=False)
-    rk = int((s_ > 1e-9 * s_[0]).sum()) if s_.size and s_[0] > 0 else 0
+    rk = _numerical_rank(s_, 1e-9)
     U = u_[:, :rk]
 
     def rel_residual(vec: np.ndarray) -> float:
@@ -506,7 +506,7 @@ class ProtectiveSynthesizer:
         fields_p = (self.ctrl_gen @ xi)[:, self.pidx]          # (nc, |P|)
         rows = np.concatenate([fields_p.real, fields_p.imag], axis=1).T
         u_, s_, vh = np.linalg.svd(rows, full_matrices=True)
-        nz = int((s_ > self.tol * max(s_[0], 1e-300)).sum()) if s_.size else 0
+        nz = _numerical_rank(s_, self.tol)
         admissible = vh[nz:].T                                  # (nc, free)
         beta = admissible @ admissible.T
         free = admissible.shape[1]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdecouple import (
+    DimensionMismatchError,
     LinearVectorField,
     Operator,
     build_one_qubit,
@@ -9,6 +10,7 @@ from qdecouple import (
     check_open_loop_geometric,
     closure_under_brackets,
     commutator,
+    generate_ctilde,
     kernel_dy_member,
     make_primitive,
     span_membership,
@@ -170,6 +172,63 @@ def test_open_loop_collective_dephasing_closure(two_qubit_model):
     assert report.open_loop_ok
 
 
+def _rank_closure_oracle(seeds, fields, cutoff=1e-9, depth=12):
+    # independent of the package's span engines: collect every bracket of
+    # every collected matrix with every field and re-SVD the whole stack
+    # until the rank stops growing
+    def rank(mats):
+        stacked = np.stack([mm.ravel() / np.linalg.norm(mm) for mm in mats])
+        s = np.linalg.svd(stacked, compute_uv=False)
+        return int((s > cutoff * s[0]).sum())
+
+    mats = list(seeds)
+    frontier = list(seeds)
+    current = rank(mats)
+    for _ in range(depth):
+        new = [F @ T - T @ F for T in frontier for F in fields]
+        new = [c for c in new if np.linalg.norm(c) > cutoff]
+        if not new or rank(mats + new) == current:
+            break
+        mats.extend(new)
+        frontier = new
+        current = rank(mats)
+    return current
+
+
+def test_closure_with_controls_matches_svd_oracle(two_qubit_model):
+    m = two_qubit_model
+    fields = [m.drift_field()] + m.control_fields()
+    delta = closure_under_brackets([m.interaction_field()], fields)
+    oracle = _rank_closure_oracle([m.interaction.matrix], [f.generator.matrix for f in fields])
+    assert oracle == 12
+    assert len(delta) == oracle
+
+
+def test_closure_matches_generate_ctilde_rank(restructured_model):
+    m = restructured_model
+    fields = [m.drift_field()] + m.control_fields()
+    delta = closure_under_brackets([m.interaction_field()], fields)
+    dist = generate_ctilde(m.interaction, m.drift, list(m.controls))
+    assert dist.rank == 143
+    assert len(delta) == dist.rank
+
+
+def test_closure_fields_unit_norm_and_labelled(two_qubit_model):
+    m = two_qubit_model
+    fields = [m.drift_field()] + m.control_fields()
+    delta = closure_under_brackets([m.interaction_field()], fields)
+    field_labels = {f.label for f in fields}
+    assert delta[0].label == "K_I"
+    labels = {"K_I"}
+    for d in delta:
+        assert d.generator.norm() == pytest.approx(1.0, abs=1e-12)
+    for d in delta[1:]:
+        inner, _, outer = d.label[1:-1].rpartition(",")
+        assert d.label.startswith("[") and d.label.endswith("]")
+        assert inner in labels and outer in field_labels
+        labels.add(d.label)
+
+
 # ---------------------------------------------------------------------------
 # controlled decouplability
 # ---------------------------------------------------------------------------
@@ -267,3 +326,10 @@ def test_pointwise_membership_follows_generator_membership(rng):
                                              [g.matrix @ xi for g in gens]))
         # generically the pointwise test must also fail somewhere
         assert not all(p.is_member for p in pointwise)
+
+
+def test_closure_rejects_seeds_of_different_dimensions():
+    D2 = Operator(-1j * np.diag([1.0, 2.0]).astype(complex), "skew_hermitian")
+    D3 = Operator(-1j * np.diag([1.0, 2.0, 3.0]).astype(complex), "skew_hermitian")
+    with pytest.raises(DimensionMismatchError):
+        closure_under_brackets([_field(D2, "a"), _field(D3, "b")], [_field(D2, "a")])
