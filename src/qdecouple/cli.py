@@ -39,9 +39,11 @@ from .simulator import (
     integrate_open_loop,
     preset_state,
     write_trajectory_csv,
+    _atomic_write,
 )
 from .synthesis import (
     DegenerateStateError,
+    InvariantBasisError,
     build_invariant_basis,
     synthesize_alpha_beta,
 )
@@ -184,8 +186,7 @@ def _apply_key(cfg: RunConfig, section: str, key: str, value: str):
         elif key == "phases":
             cfg.phases = _floats(value)
     elif section == "integrator":
-        setattr(cfg, {"dt": "dt", "t_end": "t_end", "norm_guard": "norm_guard"}[key],
-                float(value))
+        setattr(cfg, key, float(value))
     elif section == "tolerances":
         setattr(cfg, f"tol_{key}", float(value))
     elif section == "output":
@@ -304,10 +305,7 @@ class _Report:
     def write(self, filename: str):
         os.makedirs(self.cfg.output_dir, exist_ok=True)
         path = os.path.join(self.cfg.output_dir, filename)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.lines) + "\n")
-        os.replace(tmp, path)
+        _atomic_write(path, "\n".join(self.lines) + "\n")
         return path
 
 
@@ -449,17 +447,14 @@ def _cmd_compare(cfg: RunConfig, g_list: list[complex], mode: str, feedback: str
     os.makedirs(cfg.output_dir, exist_ok=True)
     csv_path = os.path.join(cfg.output_dir, out_csv or f"compare_{cfg.model}.csv")
 
-    def probe_model(params):
-        return builder(params)
-
-    schedule = _schedule_from_config(cfg, probe_model(cfg.params()).n_controls)
+    schedule = _schedule_from_config(cfg, builder(cfg.params()).n_controls)
     basis_builder = None
     if mode == "closed" and feedback == "least_squares":
         basis_builder = lambda m: build_invariant_basis(m, lift_complement=lift,
                                                         tol=cfg.tol_rank)
     try:
         report = compare_decoupling(
-            probe_model, g_list, schedule, cfg.state_preset, cfg.t_end, cfg.dt,
+            builder, g_list, schedule, cfg.state_preset, cfg.t_end, cfg.dt,
             mode=mode, params=cfg.params(), tolerance=cfg.tol_decoupling,
             tol=cfg.tol_rank, norm_guard=cfg.norm_guard, feedback=feedback,
             basis_builder=basis_builder, csv_path=csv_path)
@@ -587,7 +582,7 @@ def run_command(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, NormGuardError) as exc:
+    except (ValueError, NormGuardError, InvariantBasisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1

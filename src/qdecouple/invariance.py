@@ -16,7 +16,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .operators import (
-    DimensionMismatchError,
     Operator,
     OperatorLike,
     TimeOperator,
@@ -27,6 +26,7 @@ from .operators import (
     span_membership,
     vectorize,
     _collect_keys,
+    _IncrementalSpan,
     TensorLayout,
 )
 
@@ -43,57 +43,6 @@ DEFAULT_DEPTH_CAP = 12
 DEFAULT_TOL = 1e-9
 
 
-class _KeyedSpan:
-    """Orthonormal span over (coefficient family) x (matrix entries).
-
-    The key space grows as closure generates new t^k e^(i nu t) families;
-    existing basis vectors extend with zeros, which is exact because their
-    coefficient on a family they do not contain is zero.
-    """
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.keys: list[tuple[float, int]] = []
-        self.basis = np.zeros((0, 0), dtype=complex)  # rows orthonormal
-        self.scale = 0.0
-
-    def _extend_keys(self, op: OperatorLike):
-        new = [k for k in _collect_keys([op]) if k not in self.keys]
-        if new:
-            self.keys.extend(new)
-            dim2 = op.dim * op.dim
-            pad = np.zeros((self.basis.shape[0], len(new) * dim2), dtype=complex)
-            self.basis = np.concatenate([self.basis, pad], axis=1) \
-                if self.basis.size else np.zeros((0, len(self.keys) * dim2), dtype=complex)
-
-    def _project_out(self, v: np.ndarray) -> np.ndarray:
-        # (B @ v*)* is B* @ v without copying the basis to conjugate it
-        return v - (self.basis @ v.conj()).conj() @ self.basis
-
-    def add(self, op: OperatorLike) -> bool:
-        """Orthogonalize op against the span; True when it extends the span."""
-        self._extend_keys(op)
-        v = vectorize(op, tuple(self.keys))
-        if v.size != self.basis.shape[1]:
-            raise DimensionMismatchError(f"operator has {v.size} entries, the span "
-                                         f"{self.basis.shape[1]}")
-        self.scale = max(self.scale, float(np.linalg.norm(v)))
-        cutoff = self.tol * max(self.scale, 1e-300)
-        if self.basis.shape[0]:
-            # a second pass only shrinks the residual, so reject on the first;
-            # survivors get the second, as one pass loses orthogonality near
-            # the cutoff
-            v = self._project_out(v)
-            if np.linalg.norm(v) <= cutoff:
-                return False
-            v = self._project_out(v)
-        rn = float(np.linalg.norm(v))
-        if rn <= cutoff:
-            return False
-        self.basis = np.concatenate([self.basis, (v / rn)[None, :]])
-        return True
-
-
 def _closure(seeds: Sequence[OperatorLike], brackets: Sequence[Callable],
              depth_cap: int, tol: float):
     """Smallest bracket-closed family containing `seeds`, as unit-norm generators.
@@ -105,15 +54,27 @@ def _closure(seeds: Sequence[OperatorLike], brackets: Sequence[Callable],
     depth, converged); origins[i] is (None, s) for seed s and (j, k) for
     bracket k applied to generator j.
     """
-    span = _KeyedSpan(tol)
+    span = _IncrementalSpan()
+    keys: list[tuple[float, int]] = []
+    largest = 0.0  # the rank cutoff is relative to the largest vector seen
     gens: list[OperatorLike] = []
     origins: list[tuple[Optional[int], int]] = []
 
     def add(op: OperatorLike, floor: float, origin: tuple[Optional[int], int]):
+        nonlocal largest
         n = op.norm()
         if n > floor and np.isfinite(n):
             op = (1.0 / n) * op
-            if span.add(op):
+            # the key space grows as brackets generate new t^k e^(i nu t)
+            # families; the rows extend with zeros on them
+            new = [k for k in _collect_keys([op]) if k not in keys]
+            if new:
+                keys.extend(new)
+                span.widen(len(new) * op.dim * op.dim)
+            v = vectorize(op, tuple(keys))
+            largest = max(largest, float(np.linalg.norm(v)))
+            cutoff = tol * largest
+            if span.add(v, cutoff) > cutoff:
                 gens.append(op)
                 origins.append(origin)
 

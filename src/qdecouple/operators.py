@@ -468,6 +468,41 @@ class Span:
         return MembershipResult(residual <= threshold, coeffs, residual, self.rank)
 
 
+class _IncrementalSpan:
+    """Orthonormal rows grown in order by Gram-Schmidt accept/reject.
+
+    A second projection only shrinks a residual, so a vector at or below the
+    cutoff is rejected on the first.  One classical pass loses orthogonality
+    only near the cutoff, so survivors below 1e6 times it are projected once
+    more ("twice is enough", Giraud, Langou & Rozloznik 2005) and the rest
+    are taken as they are.
+    """
+
+    def __init__(self, width: int = 0, dtype=complex):
+        self.rows = np.zeros((0, width), dtype=dtype)
+
+    def widen(self, extra: int):
+        """Append `extra` zero columns; exact, as no row has entries there."""
+        pad = np.zeros((self.rows.shape[0], extra), dtype=self.rows.dtype)
+        self.rows = np.concatenate([self.rows, pad], axis=1)
+
+    def add(self, v: np.ndarray, cutoff: float) -> float:
+        """Residual norm of `v` off the rows; `v` joins when it exceeds `cutoff`."""
+        rows = self.rows
+        if v.size != rows.shape[1]:
+            raise DimensionMismatchError(f"vector has {v.size} entries, the span "
+                                         f"{rows.shape[1]}")
+        # (R @ v*)* is R* @ v without copying the rows to conjugate them
+        v = v - (rows @ v.conj()).conj() @ rows
+        rn = np.sqrt(np.vdot(v, v).real)
+        if cutoff < rn < 1e6 * cutoff:
+            v = v - (rows @ v.conj()).conj() @ rows
+            rn = np.sqrt(np.vdot(v, v).real)
+        if rn > cutoff:
+            self.rows = np.concatenate([rows, (v / rn)[None, :]])
+        return rn
+
+
 def span_membership(target, basis: Sequence, tol: float = 1e-9) -> MembershipResult:
     """Least-squares projection of `target` onto span(basis); see :class:`Span`.
 

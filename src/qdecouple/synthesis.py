@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .models import SystemModel, _environment_powers
-from .operators import _PAULI, Operator, Span, _numerical_rank, opnorm
+from .operators import _PAULI, Operator, Span, _IncrementalSpan, _numerical_rank, opnorm
 
 __all__ = [
     "DegenerateStateError",
@@ -258,9 +258,6 @@ class FeedbackSynthesizer:
         self.n_comp = self.comp_gen.shape[0]
         self.all_gen = np.concatenate([self.delta_gen, self.comp_gen, self.ctrl_gen])
 
-    def control_fields_at(self, xi: np.ndarray) -> np.ndarray:
-        return self.ctrl_gen @ xi
-
     def sample(self, xi: np.ndarray) -> ControlLawSample:
         xi = np.asarray(xi, dtype=complex).ravel()
         tol = self.tol
@@ -277,31 +274,11 @@ class FeedbackSynthesizer:
             raise ValueError("all candidate fields vanish at this state")
         threshold = tol * scale
 
-        # in-order greedy independence selection: orthogonalize each field
-        # against the accepted set and accept when the residual clears the
-        # cutoff; a second orthogonalization pass runs only near the cutoff,
-        # where classical Gram-Schmidt loses accuracy
-        n_rows, width = X.shape
-        Q = np.empty((min(width, n_rows), width))
-        k = 0
-        rdiag = np.empty(n_rows)
-        refine_band = 1e6 * threshold
-        for i in range(n_rows):
-            x = X[i]
-            if k:
-                qk = Q[:k]
-                x = x - (qk @ x) @ qk
-                rn2 = float(x @ x)
-                if rn2 < refine_band * refine_band:
-                    x = x - (qk @ x) @ qk
-                    rn2 = float(x @ x)
-                rn = np.sqrt(rn2)
-            else:
-                rn = float(np.sqrt(x @ x))
-            rdiag[i] = rn
-            if rn > threshold and k < Q.shape[0]:
-                Q[k] = x / rn
-                k += 1
+        # in-order greedy independence selection: a field is accepted when
+        # its residual against the fields accepted before it clears the
+        # cutoff, by the accept/reject rule the commutator closure uses
+        span = _IncrementalSpan(X.shape[1], float)
+        rdiag = np.array([span.add(x, threshold) for x in X])
         accepted = rdiag > threshold
 
         sel_delta = np.nonzero(accepted[:nd])[0]
@@ -426,17 +403,14 @@ def verify_synthesis(sample: ControlLawSample, model: SystemModel,
     closed_ctrls = [np.tensordot(sample.beta[:, i], ctrl, axes=1) for i in range(nc)]
 
     delta_vecs = delta_gen @ xi
-    Dl = np.concatenate([delta_vecs.real, delta_vecs.imag], axis=1).T  # (2n, nd)
-    u_, s_, _ = np.linalg.svd(Dl, full_matrices=False)
-    rk = _numerical_rank(s_, 1e-9)
-    U = u_[:, :rk]
+    span = Span(np.concatenate([delta_vecs.real, delta_vecs.imag], axis=1), 1e-9)
 
     def rel_residual(vec: np.ndarray) -> float:
         v = np.concatenate([vec.real, vec.imag])
         nv = np.linalg.norm(v)
         if nv < 1e-14:
             return 0.0
-        return float(np.linalg.norm(v - U @ (U.T @ v)) / nv)
+        return float(span.membership(v).residual_norm / nv)
 
     n_delta = delta_gen.shape[0]
     out = np.zeros((n_delta, 1 + nc))

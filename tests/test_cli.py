@@ -121,6 +121,18 @@ def test_synthesize_demo(tmp_path, capsys):
     assert "beta rank" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["synthesize-demo", "--env-levels", "4"],
+    ["simulate", "--model", "restructured", "--mode", "closed", "--env-levels", "4"],
+])
+def test_invariant_basis_failure_is_a_one_line_error(tmp_path, capsys, argv):
+    # {I, D, D^2} does not dress a 4-level environment into a valid table
+    assert run_command(argv + ["--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: commutation table violated")
+    assert err.count("\n") == 1
+
+
 def test_simulate_writes_csv_deterministically(tmp_path, capsys):
     args = ["simulate", "--model", "two_qubit", "--schedule", "constant",
             "--t-end", "0.05", "--output-dir", str(tmp_path)]

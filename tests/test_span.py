@@ -1,4 +1,5 @@
-"""Span: one factorization of a basis, tested against many targets.
+"""Span: one factorization of a basis, tested against many targets; and the
+in-order incremental span shared by the closure walk and the synthesis.
 
 Every case is compared with an inline SVD least-squares reference that
 vectorizes target and basis together over the union of their coefficient
@@ -20,6 +21,7 @@ from qdecouple import (
     generate_ctilde,
     span_membership,
 )
+from qdecouple.operators import _IncrementalSpan
 from conftest import random_matrix
 
 TOL = 1e-9
@@ -205,3 +207,89 @@ def test_distribution_membership_matches_span_membership(restructured_closure, r
             1e-10 * max(1.0, fresh.residual_norm)
         assert np.linalg.norm(shared.coefficients - fresh.coefficients) <= \
             1e-10 * max(1.0, np.linalg.norm(fresh.coefficients))
+
+
+# ---------------------------------------------------------------------------
+# the in-order incremental span
+# ---------------------------------------------------------------------------
+
+def _grow(rows, dtype):
+    """Add rows in order at the relative cutoff; (span, residuals)."""
+    cutoff = TOL * max(np.linalg.norm(r) for r in rows)
+    span = _IncrementalSpan(rows[0].size, dtype)
+    return span, [span.add(r, cutoff) for r in rows], cutoff
+
+
+def _assert_in_order(span, rows, residuals, cutoff):
+    """Each residual against the rows accepted before it, by the reference."""
+    accepted = []
+    for row, residual in zip(rows, residuals):
+        expected = _reference(row, accepted)[2]
+        assert abs(residual - expected) <= 1e-10 * max(1.0, np.linalg.norm(row))
+        if expected > cutoff:
+            accepted.append(row)
+    assert span.rows.shape[0] == len(accepted)
+    gram = span.rows.conj() @ span.rows.T
+    assert np.abs(gram - np.eye(len(accepted))).max() < 1e-12
+    for row in accepted:  # the rows span exactly the accepted inputs
+        assert _reference(row, list(span.rows))[2] < 1e-12 * np.linalg.norm(row)
+    return [r > cutoff for r in residuals]
+
+
+def _row_sets(rng, real):
+    def draw():
+        v = rng.standard_normal(6)
+        return v if real else v + 1j * rng.standard_normal(6)
+    free = [draw() for _ in range(4)]
+    c = 0.5 if real else 0.5j
+    deficient = [free[0], free[1], free[0] - c * free[1], free[2],
+                 2.0 * free[2] + free[1], free[3]]
+    return free, deficient
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_incremental_span_full_rank(real):
+    free, _ = _row_sets(np.random.default_rng(11), real)
+    dtype = float if real else complex
+    span, residuals, cutoff = _grow(free, dtype)
+    assert _assert_in_order(span, free, residuals, cutoff) == [True] * 4
+    assert span.rows.dtype == dtype
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_incremental_span_rank_deficient(real):
+    _, rows = _row_sets(np.random.default_rng(12), real)
+    span, residuals, cutoff = _grow(rows, float if real else complex)
+    assert _assert_in_order(span, rows, residuals, cutoff) == \
+        [True, True, False, True, False, True]
+
+
+def test_incremental_span_widens_with_zero_columns():
+    rng = np.random.default_rng(13)
+    old = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(2)]
+    new = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    span = _IncrementalSpan()
+    span.widen(4)
+    for row in old:
+        span.add(row, 1e-9)
+    span.widen(4)
+    assert span.rows.shape == (2, 8)
+    assert not span.rows[:, 4:].any()
+    padded = [np.concatenate([row, np.zeros(4)]) for row in old]
+    rows = padded + [new, padded[0] + 2.0 * new]
+    residuals = [span.add(row, 1e-9) for row in rows[2:]]
+    assert residuals[0] > 1e-9 >= residuals[1]
+    fresh, fresh_residuals, _ = _grow(rows, complex)
+    assert _assert_in_order(fresh, rows, fresh_residuals, 1e-9) == [True, True, True, False]
+    assert np.allclose(np.abs(span.rows.conj() @ fresh.rows.T), np.eye(3), atol=1e-12)
+
+
+def test_incremental_span_rejects_other_dimensions():
+    rng = np.random.default_rng(14)
+    span = _IncrementalSpan(4)
+    span.add(rng.standard_normal(4) + 0j, 1e-9)
+    with pytest.raises(DimensionMismatchError):
+        span.add(rng.standard_normal(9) + 0j, 1e-9)
+    span.widen(4)  # a second coefficient family of a 2x2 operator
+    with pytest.raises(DimensionMismatchError):
+        span.add(rng.standard_normal(18) + 0j, 1e-9)

@@ -16,6 +16,7 @@ from qdecouple import (
     synthesize_protective,
     verify_synthesis,
 )
+from qdecouple import synthesis
 from qdecouple.synthesis import FeedbackSynthesizer, ProtectiveSynthesizer
 from conftest import random_state
 
@@ -279,3 +280,81 @@ def test_protected_block_indices(restructured_model):
     idx = protected_block_indices(restructured_model)
     # states |01> and |10> tensored with the three environment levels
     assert sorted(idx) == [3, 4, 5, 6, 7, 8]
+
+
+# ---------------------------------------------------------------------------
+# pinned corpus: the selection against the loop it replaced
+# ---------------------------------------------------------------------------
+
+class _PreviousSelection:
+    """The in-order selection loop `sample` ran before it shared the closure's
+    span engine, behind the engine's interface: one `add(row, threshold)` per
+    field row, returning the row's residual.  It always reorthogonalizes in
+    the refine band, rejected rows included, and its preallocated buffer
+    holds at most `width` rows (every corpus matrix has more rows)."""
+
+    def __init__(self, width, dtype):
+        self.Q = np.empty((width, width))
+        self.k = 0
+
+    def add(self, x, threshold):
+        k = self.k
+        if k:
+            qk = self.Q[:k]
+            x = x - (qk @ x) @ qk
+            rn2 = float(x @ x)
+            refine_band = 1e6 * threshold
+            if rn2 < refine_band * refine_band:
+                x = x - (qk @ x) @ qk
+                rn2 = float(x @ x)
+            rn = np.sqrt(rn2)
+        else:
+            rn = float(np.sqrt(x @ x))
+        if rn > threshold and k < self.Q.shape[0]:
+            self.Q[k] = x / rn
+            self.k += 1
+        return rn
+
+
+def _pinned_corpus(model):
+    """dfs_pair, 5 perturbations of it at each of 1e-2..1e-8, 200 random states."""
+    rng = np.random.default_rng(20101)
+    dfs = preset_state(model, "dfs_pair")
+    states = [dfs]
+    for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+        for _ in range(5):
+            v = dfs + eps * (rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim))
+            states.append(v / np.linalg.norm(v))
+    return states + [random_state(rng, model.dim) for _ in range(200)]
+
+
+def _accepted(span_class, synth, xi):
+    vecs = synth.all_gen @ xi
+    X = np.concatenate([vecs.real, vecs.imag], axis=1)
+    threshold = synth.tol * np.linalg.norm(X, axis=1).max()
+    span = span_class(X.shape[1], float)
+    return np.array([span.add(x, threshold) for x in X]) > threshold
+
+
+def test_selection_matches_previous_loop_on_pinned_corpus(restructured_model, monkeypatch):
+    m = restructured_model
+    states = _pinned_corpus(m)
+    warned = 0
+    for lift in (False, True):
+        synth = FeedbackSynthesizer(m, build_invariant_basis(m, lift_complement=lift))
+        new = [synth.sample(xi) for xi in states]
+        masks = [_accepted(synthesis._IncrementalSpan, synth, xi) for xi in states]
+        with monkeypatch.context() as patch:
+            patch.setattr(synthesis, "_IncrementalSpan", _PreviousSelection)
+            old = [synth.sample(xi) for xi in states]
+        for xi, mask, a, b in zip(states, masks, new, old):
+            assert np.array_equal(mask, _accepted(_PreviousSelection, synth, xi))
+            assert a.ranks == b.ranks
+            assert a.beta_rank == b.beta_rank
+            assert a.warnings == b.warnings
+            assert a.residuals == b.residuals
+            assert np.array_equal(a.alpha, b.alpha)
+            assert np.array_equal(a.beta, b.beta)
+        warned += sum(bool(a.warnings) for a in new)
+    # the corpus reaches the rank-straddle warning, so its text is compared too
+    assert warned >= 1
