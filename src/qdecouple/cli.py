@@ -143,7 +143,6 @@ def parse_config_file(path: str) -> RunConfig:
             _apply_key(cfg, section, key, value)
         except (ValueError, TypeError) as exc:
             err(lineno, f"bad value for {key!r}: {exc}")
-    _validate(cfg)
     return cfg
 
 
@@ -172,7 +171,10 @@ def _apply_key(cfg: RunConfig, section: str, key: str, value: str):
             cfg.amplitudes = [complex(x) for x in value.split(",") if x.strip()]
     elif section == "schedule":
         if key == "kind":
-            if value not in ("zero", "constant", "sinusoidal", "piecewise_constant"):
+            if value == "piecewise_constant":
+                raise ValueError("schedule kind 'piecewise_constant' needs explicit "
+                                 "breakpoints; use the library API for piecewise schedules")
+            if value not in ("zero", "constant", "sinusoidal"):
                 raise ValueError(f"unknown schedule kind {value!r}")
             cfg.schedule_kind = value
         elif key == "channels":
@@ -194,9 +196,11 @@ def _apply_key(cfg: RunConfig, section: str, key: str, value: str):
 
 
 def _validate(cfg: RunConfig):
-    if cfg.dt <= 0 or cfg.t_end <= 0:
-        raise ConfigError("dt and t_end must be positive")
-    for name in ("omega0", "omega_env", "j1", "j2", "dt", "t_end", "norm_guard"):
+    for name in ("dt", "t_end", "norm_guard", "tol_rank", "tol_invariance", "tol_decoupling"):
+        value = getattr(cfg, name)
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    for name in ("omega0", "omega_env", "j1", "j2"):
         if not np.isfinite(getattr(cfg, name)):
             raise ConfigError(f"parameter {name} must be finite")
     if not np.isfinite(cfg.g) or not np.isfinite(cfg.w):
@@ -212,55 +216,41 @@ def demo_schedule(n_channels: int, kind: str) -> ControlSchedule:
 
     For the 24-channel restructured system the drive enters on channels
     1, 4, 7, 10 (the channels whose bare counterparts are the four
-    single-qubit fields); for a 4-control model, on channel 1.
+    single-qubit fields); for a 4-control model, on channel 1.  Every
+    amplitude is 1; sinusoidal drives have frequencies 1, 1, 2, 2 and
+    phases 0, pi/2, 0, pi/2.
     """
-    channels = [0, 3, 6, 9] if n_channels >= 24 else [0]
-    if kind == "zero":
-        return ControlSchedule.zero(n_channels)
-    if kind == "constant":
-        v = np.zeros(n_channels)
-        v[channels] = 1.0
-        return ControlSchedule.constant(v)
-    if kind == "sinusoidal":
-        amp = np.zeros(n_channels)
-        freq = np.ones(n_channels)
-        phase = np.zeros(n_channels)
-        for i, ch in enumerate(channels):
-            amp[ch] = 1.0
-            freq[ch] = 1.0 + (i // 2)
-            phase[ch] = (np.pi / 2) * (i % 2)
-        return ControlSchedule.sinusoidal(amp, freq, phase)
-    raise ValueError(f"unknown schedule preset {kind!r}")
+    preset = RunConfig(schedule_kind=kind,
+                       channels=[1, 4, 7, 10] if n_channels >= 24 else [1],
+                       frequencies=[1.0, 1.0, 2.0, 2.0],
+                       phases=[0.0, np.pi / 2, 0.0, np.pi / 2])
+    return _schedule_from_config(preset, n_channels)
 
 
 def _schedule_from_config(cfg: RunConfig, n_channels: int) -> ControlSchedule:
+    """The configured drive on the 1-based `cfg.channels`, the demo preset
+    without them; each value list cycles over the channels."""
     if not cfg.channels:
         return demo_schedule(n_channels, cfg.schedule_kind)
     idx = [c - 1 for c in cfg.channels]
     if any(i < 0 or i >= n_channels for i in idx):
         raise ConfigError(f"channel out of range 1..{n_channels}: {cfg.channels}")
+
+    def spread(vals: list[float], rest: float) -> np.ndarray:
+        out = np.full(n_channels, rest)
+        for i, ch in enumerate(idx):
+            out[ch] = vals[i % len(vals)]
+        return out
+
     if cfg.schedule_kind == "zero":
         return ControlSchedule.zero(n_channels)
     if cfg.schedule_kind == "constant":
-        v = np.zeros(n_channels)
-        vals = cfg.values or [1.0] * len(idx)
-        for i, ch in enumerate(idx):
-            v[ch] = vals[i % len(vals)]
-        return ControlSchedule.constant(v)
+        return ControlSchedule.constant(spread(cfg.values or [1.0], 0.0))
     if cfg.schedule_kind == "sinusoidal":
-        amp = np.zeros(n_channels)
-        freq = np.ones(n_channels)
-        phase = np.zeros(n_channels)
-        amps = cfg.sin_amplitudes or [1.0] * len(idx)
-        freqs = cfg.frequencies or [1.0] * len(idx)
-        phases = cfg.phases or [0.0] * len(idx)
-        for i, ch in enumerate(idx):
-            amp[ch] = amps[i % len(amps)]
-            freq[ch] = freqs[i % len(freqs)]
-            phase[ch] = phases[i % len(phases)]
-        return ControlSchedule.sinusoidal(amp, freq, phase)
-    raise ConfigError(f"schedule kind {cfg.schedule_kind!r} needs explicit breakpoints; "
-                      "use the library API for piecewise schedules")
+        return ControlSchedule.sinusoidal(spread(cfg.sin_amplitudes or [1.0], 0.0),
+                                          spread(cfg.frequencies or [1.0], 1.0),
+                                          spread(cfg.phases or [0.0], 0.0))
+    raise ValueError(f"unknown schedule preset {cfg.schedule_kind!r}")
 
 
 def _build_model(cfg: RunConfig):
@@ -545,6 +535,8 @@ def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         if val is not None:
             setattr(cfg, attr, val)
     g_flag = getattr(args, "g", None)
+    if g_flag is not None and "," in g_flag and args.command != "compare":
+        raise ValueError(f"--g takes one value with {args.command}; a list is for compare")
     if g_flag is not None and "," not in g_flag:
         cfg.g = complex(g_flag)
     return cfg
@@ -568,7 +560,8 @@ def run_command(argv: Optional[list[str]] = None) -> int:
         if args.command == "dfs":
             return _cmd_dfs(cfg, args.qubits)
         if args.command == "synthesize-demo":
-            cfg.model = "restructured"
+            if args.model is None:
+                cfg.model = "restructured"
             return _cmd_synthesize_demo(cfg, args.lift_complement)
         if args.command == "simulate":
             return _cmd_simulate(cfg, args.mode, args.feedback,
@@ -585,7 +578,6 @@ def run_command(argv: Optional[list[str]] = None) -> int:
     except (ValueError, NormGuardError, InvariantBasisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 def main() -> None:

@@ -20,8 +20,8 @@ from .operators import (
     OperatorLike,
     Span,
     commutator,
+    _closure,
 )
-from .invariance import _closure
 
 __all__ = [
     "LinearVectorField",

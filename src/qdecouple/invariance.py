@@ -11,23 +11,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-import numpy as np
-
+from .models import ModelParams, _coherence, _collective_dephasing
 from .operators import (
     Operator,
     OperatorLike,
     TimeOperator,
     commutator,
-    kron_embed,
-    make_primitive,
     Span,
     span_membership,
-    vectorize,
-    _collect_keys,
-    _IncrementalSpan,
-    TensorLayout,
+    _closure,
 )
 
 __all__ = [
@@ -41,56 +35,6 @@ __all__ = [
 
 DEFAULT_DEPTH_CAP = 12
 DEFAULT_TOL = 1e-9
-
-
-def _closure(seeds: Sequence[OperatorLike], brackets: Sequence[Callable],
-             depth_cap: int, tol: float):
-    """Smallest bracket-closed family containing `seeds`, as unit-norm generators.
-
-    Each sweep applies every bracket, `(T, |T|) -> (candidate, scale of its
-    ingredients)`, to every generator held at the sweep's start.  Candidates
-    below 1e-12 times their scale are cancellation noise, which normalizing
-    would turn into spurious directions.  Returns (generators, origins,
-    depth, converged); origins[i] is (None, s) for seed s and (j, k) for
-    bracket k applied to generator j.
-    """
-    span = _IncrementalSpan()
-    keys: list[tuple[float, int]] = []
-    largest = 0.0  # the rank cutoff is relative to the largest vector seen
-    gens: list[OperatorLike] = []
-    origins: list[tuple[Optional[int], int]] = []
-
-    def add(op: OperatorLike, floor: float, origin: tuple[Optional[int], int]):
-        nonlocal largest
-        n = op.norm()
-        if n > floor and np.isfinite(n):
-            op = (1.0 / n) * op
-            # the key space grows as brackets generate new t^k e^(i nu t)
-            # families; the rows extend with zeros on them
-            new = [k for k in _collect_keys([op]) if k not in keys]
-            if new:
-                keys.extend(new)
-                span.widen(len(new) * op.dim * op.dim)
-            v = vectorize(op, tuple(keys))
-            largest = max(largest, float(np.linalg.norm(v)))
-            cutoff = tol * largest
-            if span.add(v, cutoff) > cutoff:
-                gens.append(op)
-                origins.append(origin)
-
-    for s, seed in enumerate(seeds):
-        add(seed, 0.0, (None, s))
-    depth = 0
-    for depth in range(1, depth_cap + 1):
-        before = len(gens)
-        for j in range(before):
-            t_norm = gens[j].norm()
-            for k, bracket in enumerate(brackets):
-                cand, scale = bracket(gens[j], t_norm)
-                add(cand, 1e-12 * max(1.0, scale), (j, k))
-        if len(gens) == before:
-            return gens, origins, depth, True
-    return gens, origins, depth, False
 
 
 @dataclass
@@ -218,36 +162,18 @@ def find_dfs_coherences(n_qubits: int, env_levels: int = 3, tol: float = DEFAULT
     """
     if not 1 <= n_qubits <= 4:
         raise ValueError(f"n_qubits must be within [1, 4], got {n_qubits}")
-    n_sys = 2 ** n_qubits
-    qubit_layout = TensorLayout(tuple([2] * n_qubits),
-                                tuple(f"q{i}" for i in range(n_qubits)))
+    params = ModelParams(omega0=omega0, omega_env=omega_env, g=g, env_levels=env_levels)
+    layout, drift, interaction = _collective_dephasing(
+        params, tuple(f"q{i}" for i in range(n_qubits)), n_qubits)
 
-    sz_total = None
-    for k in range(n_qubits):
-        term = kron_embed(make_primitive("pauli_z", 2), k, qubit_layout)
-        sz_total = term if sz_total is None else sz_total + term
-    number = make_primitive("boson_raise", env_levels) @ make_primitive("boson_lower", env_levels)
-    coupling = make_primitive("displacement", env_levels, w=g)
-
-    # interaction: (sum_j sigma_z^(j)) (x) (g b^+ + g* b); drift: qubit splittings + mode
-    H_SE = Operator(np.kron(sz_total.matrix, coupling.matrix), "hermitian", "H_SE")
-    H0 = (omega0 / 2.0) * Operator(np.kron(sz_total.matrix, np.eye(env_levels)), "hermitian") \
-        + omega_env * Operator(np.kron(np.eye(n_sys), number.matrix), "hermitian", "H_env")
-
-    drift_gen = H0.times_minus_i()
-    hse_gen = H_SE.times_minus_i()
-
-    words = [format(k, f"0{n_qubits}b") for k in range(n_sys)]
+    words = [format(k, f"0{n_qubits}b") for k in range(2 ** n_qubits)]
     pairs: list[tuple[str, str]] = []
     ops: list[Operator] = []
-    eye_env = np.eye(env_levels, dtype=complex)
-    for i, wi in enumerate(words):
-        for j, wj in enumerate(words):
-            proj = np.zeros((n_sys, n_sys), dtype=complex)
-            proj[i, j] = 1.0
-            C = Operator(np.kron(proj, eye_env), "general", f"|{wi}><{wj}|")
-            dist = generate_ctilde(C, drift_gen, [], tol=tol)
-            report = check_open_loop_invariance(dist, hse_gen, tol)
+    for wi in words:
+        for wj in words:
+            C = _coherence(layout, wi, wj)
+            dist = generate_ctilde(C, drift, [], tol=tol)
+            report = check_open_loop_invariance(dist, interaction, tol)
             if report.verdict == "invariant":
                 pairs.append((wi, wj))
                 ops.append(C)

@@ -3,7 +3,9 @@
 All builders return a :class:`SystemModel` whose drift, control and
 interaction operators are skew-Hermitian generators (-1j times the physical
 Hamiltonians, hbar = 1), so trajectories preserve the state norm in exact
-arithmetic.  The environment is a single truncated bosonic mode throughout.
+arithmetic.  The environment is a single truncated bosonic mode throughout;
+the four spin-boson models take their drift and interaction from one
+collective-dephasing model, :func:`_collective_dephasing`.
 
 Models:
 
@@ -127,29 +129,42 @@ def _pauli_on(kind: str, slot: int, layout: TensorLayout) -> Operator:
     return kron_embed(make_primitive(kind, 2), slot, layout)
 
 
+def _collective_dephasing(params: ModelParams, qubits: tuple[str, ...],
+                          coupled: int) -> tuple[TensorLayout, Operator, Operator]:
+    """Qubits and one truncated mode, the first `coupled` qubits dephasing into it.
+
+    H0 = (omega0 / 2) sum_k sz_k + omega_env n over every qubit and
+    H_SE = (sz_1 + ... + sz_coupled) D_g; returns the layout (the qubit slots
+    `qubits`, then "env") and the generators -1j H0, -1j H_SE.
+    """
+    n_env = params.env_levels
+    qubit_layout = TensorLayout((2,) * len(qubits), qubits)
+    sz = [_pauli_on("pauli_z", k, qubit_layout).matrix for k in range(len(qubits))]
+    number = np.kron(np.eye(qubit_layout.total_dim), _number_op(n_env).matrix)
+    h0 = Operator((params.omega0 / 2.0) * np.kron(sum(sz), np.eye(n_env))
+                  + params.omega_env * number, "hermitian", "H0")
+    d_g = make_primitive("displacement", n_env, w=params.g)
+    h_se = Operator(np.kron(sum(sz[:coupled]), d_g.matrix), "hermitian", "H_SE")
+    layout = TensorLayout(qubit_layout.dims + (n_env,), qubits + ("env",))
+    return layout, h0.times_minus_i(), h_se.times_minus_i()
+
+
+def _coherence(layout: TensorLayout, ket: str, bra: str) -> Operator:
+    """|ket><bra| on the leading qubits (bit strings), identity on the other slots."""
+    proj = np.zeros((2 ** len(ket), 2 ** len(ket)), dtype=complex)
+    proj[int(ket, 2), int(bra, 2)] = 1.0
+    rest = np.eye(layout.total_dim // proj.shape[0], dtype=complex)
+    return Operator(np.kron(proj, rest), "general", f"|{ket}><{bra}|")
+
+
 def build_one_qubit(params: ModelParams = ModelParams()) -> SystemModel:
     """Single qubit dephasing through sigma_z into one truncated mode."""
-    n_env = params.env_levels
-    layout = TensorLayout((2, n_env), ("q0", "env"))
-    sz = _pauli_on("pauli_z", 0, layout)
-    h0 = (params.omega0 / 2.0) * sz + params.omega_env * kron_embed(_number_op(n_env), 1, layout)
-    d_g = make_primitive("displacement", n_env, w=params.g)
-    h_se = Operator(np.kron(make_primitive("pauli_z", 2).matrix, d_g.matrix),
-                    "hermitian", "H_SE")
+    layout, drift, interaction = _collective_dephasing(params, ("q0",), 1)
     controls = (_pauli_on("pauli_x", 0, layout), _pauli_on("pauli_y", 0, layout))
-
-    proj = np.zeros((2, 2), dtype=complex)
-    proj[1, 0] = 1.0  # |1><0|
-    C = Operator(np.kron(proj, np.eye(n_env)), "general", "|1><0|")
-    return SystemModel(
-        layout=layout,
-        drift=h0.times_minus_i(),
-        controls=tuple(op.times_minus_i() for op in controls),
-        interaction=h_se.times_minus_i(),
-        coherence_op=C,
-        params=params,
-        name="one_qubit",
-    )
+    return SystemModel(layout=layout, drift=drift,
+                       controls=tuple(op.times_minus_i() for op in controls),
+                       interaction=interaction, coherence_op=_coherence(layout, "1", "0"),
+                       params=params, name="one_qubit")
 
 
 _SX, _SY, _SZ = _PAULI["pauli_x"], _PAULI["pauli_y"], _PAULI["pauli_z"]
@@ -162,45 +177,17 @@ def _environment_powers(params: ModelParams) -> list[np.ndarray]:
     return [np.eye(params.env_levels, dtype=complex), d_w, d_w @ d_w]
 
 
-def _collective_dephasing(params: ModelParams, name: str,
-                          controls: list[Operator]) -> SystemModel:
-    """Two qubits dephasing collectively into one mode, monitored by |01><10| x I.
-
-    H0 = (omega0 / 2)(sz1 + sz2) + omega_env n and H_SE = (sz1 + sz2) D_g;
-    `controls` are the Hermitian control operators on the same layout.
-    """
-    n_env = params.env_levels
-    layout = TensorLayout((2, 2, n_env), ("q0", "q1", "env"))
-    eye_env = np.eye(n_env, dtype=complex)
-
-    sz_sum = np.kron(_SZ, _I2) + np.kron(_I2, _SZ)
-    number = _number_op(n_env).matrix
-    h0 = Operator((params.omega0 / 2.0) * np.kron(sz_sum, eye_env)
-                  + params.omega_env * np.kron(np.eye(4), number), "hermitian", "H0")
-    d_g = make_primitive("displacement", n_env, w=params.g)
-    h_se = Operator(np.kron(sz_sum, d_g.matrix), "hermitian", "H_SE")
-
-    proj = np.zeros((4, 4), dtype=complex)
-    proj[1, 2] = 1.0  # |01><10| in the basis 00, 01, 10, 11
-    C = Operator(np.kron(proj, eye_env), "general", "|01><10|")
-    return SystemModel(
-        layout=layout,
-        drift=h0.times_minus_i(),
-        controls=tuple(op.times_minus_i() for op in controls),
-        interaction=h_se.times_minus_i(),
-        coherence_op=C,
-        params=params,
-        name=name,
-    )
-
-
 def build_two_qubit(params: ModelParams = ModelParams()) -> SystemModel:
     """Two qubits, collective dephasing, the four bare single-qubit controls."""
+    layout, drift, interaction = _collective_dephasing(params, ("q0", "q1"), 2)
     eye_env = np.eye(params.env_levels, dtype=complex)
     sys_controls = [(np.kron(_SX, _I2), "sx1"), (np.kron(_SY, _I2), "sy1"),
                     (np.kron(_I2, _SX), "sx2"), (np.kron(_I2, _SY), "sy2")]
-    return _collective_dephasing(params, "two_qubit", [
-        Operator(np.kron(m, eye_env), "hermitian", lab) for m, lab in sys_controls])
+    controls = [Operator(np.kron(m, eye_env), "hermitian", lab) for m, lab in sys_controls]
+    return SystemModel(layout=layout, drift=drift,
+                       controls=tuple(op.times_minus_i() for op in controls),
+                       interaction=interaction, coherence_op=_coherence(layout, "01", "10"),
+                       params=params, name="two_qubit")
 
 
 def build_electrooptic(n_sys: int = 10, params: ModelParams = ModelParams(g=1.0)) -> SystemModel:
@@ -246,26 +233,17 @@ def build_electrooptic(n_sys: int = 10, params: ModelParams = ModelParams(g=1.0)
 def build_ancilla_system(params: ModelParams = ModelParams()) -> SystemModel:
     """Two qubits + ancilla qubit + mode; the nine physical controls.
 
-    Controls 1-4 are the bare qubit fields, 5-6 drive the ancilla, 7-8 are
-    the Ising couplings scaled by J1, J2, and 9 modulates the ancilla's own
-    environment coupling (the carrier of the interaction model).
+    The ancilla's splitting is part of H0, but it does not dephase into the
+    mode.  Controls 1-4 are the bare qubit fields, 5-6 drive the ancilla,
+    7-8 are the Ising couplings scaled by J1, J2, and 9 modulates the
+    ancilla's own environment coupling (the carrier of the interaction model).
     """
-    n_env = params.env_levels
-    layout = TensorLayout((2, 2, 2, n_env), ("q0", "q1", "anc", "env"))
+    layout, drift, interaction = _collective_dephasing(params, ("q0", "q1", "anc"), 2)
     sx, sy, sz, i2 = _SX, _SY, _SZ, _I2
-    eye_env = np.eye(n_env, dtype=complex)
+    eye_env = np.eye(params.env_levels, dtype=complex)
 
     def sys3(m1, m2, mb):
         return np.kron(np.kron(m1, m2), mb)
-
-    number = _number_op(n_env).matrix
-    sz_sum = sys3(sz, i2, i2) + sys3(i2, sz, i2)
-    h0 = Operator((params.omega0 / 2.0) * (np.kron(sz_sum, eye_env)
-                                           + np.kron(sys3(i2, i2, sz), eye_env))
-                  + params.omega_env * np.kron(np.eye(8), number), "hermitian", "H0")
-    d_g = make_primitive("displacement", n_env, w=params.g)
-    d_w = make_primitive("displacement", n_env, w=params.w)
-    h_se = Operator(np.kron(sz_sum, d_g.matrix), "hermitian", "H_SE")
 
     sys_controls = [
         (sys3(sx, i2, i2), "sx1"), (sys3(sy, i2, i2), "sy1"),
@@ -275,20 +253,12 @@ def build_ancilla_system(params: ModelParams = ModelParams()) -> SystemModel:
         (params.j2 * sys3(i2, sz, sz), "J2 sz2 szb"),
     ]
     controls = [Operator(np.kron(m, eye_env), "hermitian", lab) for m, lab in sys_controls]
+    d_w = make_primitive("displacement", params.env_levels, w=params.w)
     controls.append(Operator(np.kron(sys3(i2, i2, sz), d_w.matrix), "hermitian", "szb Dw"))
-
-    proj = np.zeros((4, 4), dtype=complex)
-    proj[1, 2] = 1.0
-    C = Operator(np.kron(np.kron(proj, i2), eye_env), "general", "|01><10|")
-    return SystemModel(
-        layout=layout,
-        drift=h0.times_minus_i(),
-        controls=tuple(op.times_minus_i() for op in controls),
-        interaction=h_se.times_minus_i(),
-        coherence_op=C,
-        params=params,
-        name="ancilla",
-    )
+    return SystemModel(layout=layout, drift=drift,
+                       controls=tuple(op.times_minus_i() for op in controls),
+                       interaction=interaction, coherence_op=_coherence(layout, "01", "10"),
+                       params=params, name="ancilla")
 
 
 RESTRUCTURED_SYSTEM_LABELS = ("sx1", "sy1", "sx2", "sy2",
@@ -311,11 +281,15 @@ def build_restructured(params: ModelParams = ModelParams()) -> SystemModel:
     it); its drift term is dropped with it.  D^2 is the square of the
     truncated D, keeping the dressed algebra self-consistent.
     """
+    layout, drift, interaction = _collective_dephasing(params, ("q0", "q1"), 2)
     env_powers = _environment_powers(params)
-    return _collective_dephasing(params, "restructured", [
-        Operator(np.kron(s_op, env), "hermitian", f"{s_lab} D^{i}")
-        for s_op, s_lab in zip(restructured_system_operators(), RESTRUCTURED_SYSTEM_LABELS)
-        for i, env in enumerate(env_powers)])
+    controls = [Operator(np.kron(s_op, env), "hermitian", f"{s_lab} D^{i}")
+                for s_op, s_lab in zip(restructured_system_operators(), RESTRUCTURED_SYSTEM_LABELS)
+                for i, env in enumerate(env_powers)]
+    return SystemModel(layout=layout, drift=drift,
+                       controls=tuple(op.times_minus_i() for op in controls),
+                       interaction=interaction, coherence_op=_coherence(layout, "01", "10"),
+                       params=params, name="restructured")
 
 
 def cbh_effective_generator(HA: Operator, HB: Operator, t: float) -> tuple[Operator, Operator]:

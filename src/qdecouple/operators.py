@@ -18,7 +18,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -501,6 +501,56 @@ class _IncrementalSpan:
         if rn > cutoff:
             self.rows = np.concatenate([rows, (v / rn)[None, :]])
         return rn
+
+
+def _closure(seeds: Sequence[OperatorLike], brackets: Sequence[Callable],
+             depth_cap: int, tol: float):
+    """Smallest bracket-closed family containing `seeds`, as unit-norm generators.
+
+    Each sweep applies every bracket, `(T, |T|) -> (candidate, scale of its
+    ingredients)`, to every generator held at the sweep's start.  Candidates
+    below 1e-12 times their scale are cancellation noise, which normalizing
+    would turn into spurious directions.  Returns (generators, origins,
+    depth, converged); origins[i] is (None, s) for seed s and (j, k) for
+    bracket k applied to generator j.
+    """
+    span = _IncrementalSpan()
+    keys: list[tuple[float, int]] = []
+    largest = 0.0  # the rank cutoff is relative to the largest vector seen
+    gens: list[OperatorLike] = []
+    origins: list[tuple[Optional[int], int]] = []
+
+    def add(op: OperatorLike, floor: float, origin: tuple[Optional[int], int]):
+        nonlocal largest
+        n = op.norm()
+        if n > floor and np.isfinite(n):
+            op = (1.0 / n) * op
+            # the key space grows as brackets generate new t^k e^(i nu t)
+            # families; the rows extend with zeros on them
+            new = [k for k in _collect_keys([op]) if k not in keys]
+            if new:
+                keys.extend(new)
+                span.widen(len(new) * op.dim * op.dim)
+            v = vectorize(op, tuple(keys))
+            largest = max(largest, float(np.linalg.norm(v)))
+            cutoff = tol * largest
+            if span.add(v, cutoff) > cutoff:
+                gens.append(op)
+                origins.append(origin)
+
+    for s, seed in enumerate(seeds):
+        add(seed, 0.0, (None, s))
+    depth = 0
+    for depth in range(1, depth_cap + 1):
+        before = len(gens)
+        for j in range(before):
+            t_norm = gens[j].norm()
+            for k, bracket in enumerate(brackets):
+                cand, scale = bracket(gens[j], t_norm)
+                add(cand, 1e-12 * max(1.0, scale), (j, k))
+        if len(gens) == before:
+            return gens, origins, depth, True
+    return gens, origins, depth, False
 
 
 def span_membership(target, basis: Sequence, tol: float = 1e-9) -> MembershipResult:

@@ -78,6 +78,24 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[integrator]\nnorm_guard = -1\n", "norm_guard must be finite and positive"),
+    ("[tolerances]\nrank = nan\n", "tol_rank must be finite and positive"),
+    ("[tolerances]\ndecoupling = 0\n", "tol_decoupling must be finite and positive"),
+    ("[schedule]\nkind = piecewise_constant\n",
+     ":2: bad value for 'kind': schedule kind 'piecewise_constant' needs explicit "
+     "breakpoints; use the library API for piecewise schedules"),
+], ids=["norm_guard", "rank", "decoupling", "piecewise"])
+def test_config_value_rejected_before_running(tmp_path, capsys, text, message):
+    cfg_path = _write(tmp_path, text)
+    code = run_command(["--config", cfg_path, "simulate", "--model", "two_qubit",
+                        "--t-end", "0.01", "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "simulate_report.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -119,6 +137,14 @@ def test_synthesize_demo(tmp_path, capsys):
     assert code == 0
     assert "ranks: K=3 q=2 r=17" in out
     assert "beta rank" in out
+
+
+def test_synthesize_demo_honours_model(tmp_path, capsys):
+    code = run_command(["synthesize-demo", "--model", "two_qubit",
+                        "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert "synthesize-demo requires --model restructured" in capsys.readouterr().err
+    assert not (tmp_path / "synthesize_demo.txt").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -180,6 +206,16 @@ def test_tolerance_override_recorded(tmp_path, capsys):
     assert code == 0
     report = (tmp_path / "dfs_1q.txt").read_text()
     assert "invariance=1e-07" in report
+
+
+def test_g_list_outside_compare_is_a_usage_error(tmp_path, capsys):
+    code = run_command(["simulate", "--model", "two_qubit", "--g", "0,10",
+                        "--t-end", "0.01", "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: --g takes one value with simulate")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "simulate_report.txt").exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -4,6 +4,7 @@ import pytest
 from qdecouple import (
     ModelParams,
     Operator,
+    TensorLayout,
     build_ancilla_system,
     build_electrooptic,
     build_one_qubit,
@@ -11,6 +12,7 @@ from qdecouple import (
     build_two_qubit,
     cbh_effective_generator,
     commutator,
+    kron_embed,
     make_primitive,
     span_membership,
 )
@@ -76,6 +78,34 @@ def test_params_validation():
 def test_electrooptic_requires_three_levels():
     with pytest.raises(ValueError):
         build_electrooptic(n_sys=2)
+
+
+@pytest.mark.parametrize("build,n_qubits,coupled", [
+    (build_one_qubit, 1, 1),
+    (build_two_qubit, 2, 2),
+    (build_ancilla_system, 3, 2),
+    (build_restructured, 2, 2),
+])
+def test_collective_dephasing_drift_and_interaction(build, n_qubits, coupled):
+    # oracle: H0 = (w0/2) sum_k sz_k + w_env n and H_SE = (sum_{k<coupled} sz_k) D_g,
+    # assembled here slot by slot
+    p = ModelParams(omega0=0.7, omega_env=1.3, g=2.5 - 1.5j, w=0.4 + 0.9j, env_levels=4)
+    m = build(p)
+    layout = TensorLayout((2,) * n_qubits + (4,))
+    assert m.layout.dims == layout.dims
+    sz = [kron_embed(make_primitive("pauli_z", 2), k, layout).matrix for k in range(n_qubits)]
+    b = make_primitive("boson_lower", 4)
+    number = kron_embed(b.dagger() @ b, n_qubits, layout).matrix
+    d_g = kron_embed(make_primitive("displacement", 4, w=p.g), n_qubits, layout).matrix
+    h0 = (p.omega0 / 2) * sum(sz) + p.omega_env * number
+    h_se = sum(sz[:coupled]) @ d_g
+    assert np.abs(m.drift.matrix - (-1j) * h0).max() < 1e-12
+    assert np.abs(m.interaction.matrix - (-1j) * h_se).max() < 1e-12
+    # every qubit's splitting is in H0; only the coupled ones dephase (not the ancilla)
+    for k in range(n_qubits):
+        assert np.vdot(sz[k], 1j * m.drift.matrix).real == pytest.approx(p.omega0 / 2 * m.dim)
+        overlap = abs(np.vdot(sz[k] @ d_g, 1j * m.interaction.matrix))
+        assert (overlap > 1.0) == (k < coupled)
 
 
 # ---------------------------------------------------------------------------
