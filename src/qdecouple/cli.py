@@ -78,7 +78,7 @@ class ConfigError(ValueError):
 class RunConfig:
     """Flattened run configuration with strict key checking."""
 
-    model: str = "two_qubit"
+    model: Optional[str] = None  # two_qubit, or restructured for synthesize-demo
     omega0: float = 1.0
     omega_env: float = 1.0
     g: complex = 10.0
@@ -354,8 +354,10 @@ def _cmd_check(cfg: RunConfig) -> int:
 
 def _cmd_dfs(cfg: RunConfig, n_qubits: int) -> int:
     rep = _Report(cfg, f"dfs n_qubits={n_qubits}")
+    rep.add(f"coupling: g={complex(cfg.g):g}")
     pairs, _ops = find_dfs_coherences(n_qubits, cfg.env_levels, cfg.tol_invariance,
-                                      omega0=cfg.omega0, omega_env=cfg.omega_env)
+                                      omega0=cfg.omega0, omega_env=cfg.omega_env,
+                                      g=cfg.g)
     off_diag = [(a, b) for a, b in pairs if a != b]
     rep.add(f"protected coherence pairs ({len(pairs)} total, "
             f"{len(off_diag)} off-diagonal):")
@@ -553,6 +555,8 @@ def run_command(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = parse_config_file(args.config) if args.config else RunConfig()
         cfg = _merge_flags(cfg, args)
+        if cfg.model is None:
+            cfg.model = "restructured" if args.command == "synthesize-demo" else "two_qubit"
         _validate(cfg)
 
         if args.command == "check":
@@ -560,8 +564,6 @@ def run_command(argv: Optional[list[str]] = None) -> int:
         if args.command == "dfs":
             return _cmd_dfs(cfg, args.qubits)
         if args.command == "synthesize-demo":
-            if args.model is None:
-                cfg.model = "restructured"
             return _cmd_synthesize_demo(cfg, args.lift_complement)
         if args.command == "simulate":
             return _cmd_simulate(cfg, args.mode, args.feedback,

@@ -76,10 +76,11 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
                     tol: float = DEFAULT_TOL) -> OperatorDistribution:
     """Closure of C under repeated control brackets and the drift/clock map.
 
-    `H` and `controls` are skew-Hermitian generators.  Candidates are added
-    only when their residual against the current orthonormal basis exceeds
-    `tol` (relative to the largest vector seen); a full sweep that adds
-    nothing terminates the iteration with converged=True.
+    `H` and `controls` are skew-Hermitian generators.  Each sweep brackets
+    the generators the previous sweep added (C itself first), and a
+    candidate is added only when its residual against the current
+    orthonormal basis exceeds `tol` (relative to the largest vector seen);
+    a sweep that adds nothing terminates the iteration with converged=True.
     """
     def control(Hi: Operator):
         n_i = Hi.norm()

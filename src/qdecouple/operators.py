@@ -507,12 +507,15 @@ def _closure(seeds: Sequence[OperatorLike], brackets: Sequence[Callable],
              depth_cap: int, tol: float):
     """Smallest bracket-closed family containing `seeds`, as unit-norm generators.
 
-    Each sweep applies every bracket, `(T, |T|) -> (candidate, scale of its
-    ingredients)`, to every generator held at the sweep's start.  Candidates
-    below 1e-12 times their scale are cancellation noise, which normalizing
-    would turn into spurious directions.  Returns (generators, origins,
-    depth, converged); origins[i] is (None, s) for seed s and (j, k) for
-    bracket k applied to generator j.
+    Sweep d applies every bracket, `(T, |T|) -> (candidate, scale of its
+    ingredients)`, to the generators accepted in sweep d - 1 (the seeds are
+    sweep 0).  Pairs from earlier sweeps are not tried again: a rejected
+    candidate changes nothing, and the span, its key columns and the largest
+    vector seen only grow, so a pair rejected once is rejected again.
+    Candidates below 1e-12 times their scale are cancellation noise, which
+    normalizing would turn into spurious directions.  Returns (generators,
+    origins, depth, converged); origins[i] is (None, s) for seed s and (j, k)
+    for bracket k applied to generator j.
     """
     span = _IncrementalSpan()
     keys: list[tuple[float, int]] = []
@@ -540,16 +543,17 @@ def _closure(seeds: Sequence[OperatorLike], brackets: Sequence[Callable],
 
     for s, seed in enumerate(seeds):
         add(seed, 0.0, (None, s))
-    depth = 0
+    depth = start = 0
     for depth in range(1, depth_cap + 1):
         before = len(gens)
-        for j in range(before):
+        for j in range(start, before):
             t_norm = gens[j].norm()
             for k, bracket in enumerate(brackets):
                 cand, scale = bracket(gens[j], t_norm)
                 add(cand, 1e-12 * max(1.0, scale), (j, k))
         if len(gens) == before:
             return gens, origins, depth, True
+        start = before
     return gens, origins, depth, False
 
 

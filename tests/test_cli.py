@@ -147,6 +147,24 @@ def test_synthesize_demo_honours_model(tmp_path, capsys):
     assert not (tmp_path / "synthesize_demo.txt").exists()
 
 
+def test_synthesize_demo_honours_config_model(tmp_path, capsys):
+    cfg_path = _write(tmp_path, "[model]\nname = two_qubit\n")
+    code = run_command(["--config", cfg_path, "synthesize-demo",
+                        "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert "synthesize-demo requires --model restructured" in capsys.readouterr().err
+    assert not (tmp_path / "synthesize_demo.txt").exists()
+
+
+def test_dfs_honours_g(tmp_path, capsys):
+    # without coupling every coherence is protected, not only equal-weight pairs
+    code = run_command(["dfs", "--qubits", "2", "--g", "0", "--output-dir", str(tmp_path)])
+    assert code == 0
+    report = (tmp_path / "dfs_2q.txt").read_text()
+    assert "coupling: g=0+0j" in report
+    assert "protected coherence pairs (16 total, 12 off-diagonal):" in report
+
+
 @pytest.mark.parametrize("argv", [
     ["synthesize-demo", "--env-levels", "4"],
     ["simulate", "--model", "restructured", "--mode", "closed", "--env-levels", "4"],

@@ -12,9 +12,10 @@ from qdecouple import (
     check_open_loop_invariance,
     find_dfs_coherences,
     generate_ctilde,
+    invariance,
     make_primitive,
 )
-from qdecouple.operators import TimeTerm, vectorize
+from qdecouple.operators import TimeTerm, _closure, _collect_keys, _IncrementalSpan, vectorize
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +68,93 @@ def test_ctilde_rank_independent_of_control_order(two_qubit_model):
         permuted = [m.controls[i] for i in perm]
         alt = generate_ctilde(m.coherence_op, m.drift, permuted)
         assert alt.rank == base.rank
+
+
+def _full_walk(seeds, brackets, depth_cap, tol):
+    """The closure walk before the frontier rule: every sweep brackets every
+    generator held at its start, so each pair is tried again in every later
+    sweep.  The accept rule and the origins are those of `_closure`."""
+    span = _IncrementalSpan()
+    keys = []
+    largest = 0.0
+    gens, origins = [], []
+
+    def add(op, floor, origin):
+        nonlocal largest
+        n = op.norm()
+        if n > floor and np.isfinite(n):
+            op = (1.0 / n) * op
+            new = [k for k in _collect_keys([op]) if k not in keys]
+            if new:
+                keys.extend(new)
+                span.widen(len(new) * op.dim * op.dim)
+            v = vectorize(op, tuple(keys))
+            largest = max(largest, float(np.linalg.norm(v)))
+            cutoff = tol * largest
+            if span.add(v, cutoff) > cutoff:
+                gens.append(op)
+                origins.append(origin)
+
+    for s, seed in enumerate(seeds):
+        add(seed, 0.0, (None, s))
+    depth = 0
+    for depth in range(1, depth_cap + 1):
+        before = len(gens)
+        for j in range(before):
+            t_norm = gens[j].norm()
+            for k, bracket in enumerate(brackets):
+                cand, scale = bracket(gens[j], t_norm)
+                add(cand, 1e-12 * max(1.0, scale), (j, k))
+        if len(gens) == before:
+            return gens, origins, depth, True
+    return gens, origins, depth, False
+
+
+def _closure_args(model, depth_cap, monkeypatch):
+    """The (seeds, brackets, depth_cap, tol) that generate_ctilde hands the walk."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(invariance, "_closure", lambda *args: seen.append(args) or _closure(*args))
+        generate_ctilde(model.coherence_op, model.drift, list(model.controls),
+                        depth_cap=depth_cap)
+    return seen[0]
+
+
+def _generator_bytes(op):
+    if isinstance(op, TimeOperator):
+        return [(t.amplitude, t.frequency, t.power, t.matrix.tobytes()) for t in op.terms]
+    return op.matrix.tobytes()
+
+
+@pytest.mark.parametrize("name", ["two_qubit_model", "restructured_model"])
+def test_closure_brackets_each_pair_once(name, request, monkeypatch):
+    seeds, brackets, depth_cap, tol = _closure_args(request.getfixturevalue(name), 12,
+                                                    monkeypatch)
+    calls = 0
+
+    def counted(bracket):
+        def call(T, t_norm):
+            nonlocal calls
+            calls += 1
+            return bracket(T, t_norm)
+        return call
+
+    gens, _, _, converged = _closure(seeds, [counted(b) for b in brackets], depth_cap, tol)
+    assert converged
+    assert calls == len(gens) * len(brackets)
+
+
+def test_frontier_walk_matches_full_walk(two_qubit_model, restructured_model, monkeypatch):
+    cases = [(build_one_qubit(), cap) for cap in range(1, 7)]
+    cases += [(two_qubit_model, cap) for cap in range(1, 7)]
+    cases += [(build_electrooptic(), cap) for cap in range(1, 5)]
+    cases += [(restructured_model, 12)]
+    for model, depth_cap in cases:
+        args = _closure_args(model, depth_cap, monkeypatch)
+        gens, origins, depth, converged = _closure(*args)
+        ref_gens, ref_origins, ref_depth, ref_converged = _full_walk(*args)
+        assert [_generator_bytes(g) for g in gens] == [_generator_bytes(g) for g in ref_gens]
+        assert (origins, depth, converged) == (ref_origins, ref_depth, ref_converged)
 
 
 def _restrict_time_op(T: TimeOperator, proj: np.ndarray) -> TimeOperator:
