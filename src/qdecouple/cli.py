@@ -290,7 +290,14 @@ class _Report:
 
     def add(self, line: str = ""):
         self.lines.append(line)
-        print(line)
+        try:
+            print(line, flush=True)
+        except BrokenPipeError:
+            # the reader is gone: the rest of the echo and the final flush go
+            # to os.devnull, and the report is still written
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
     def write(self, filename: str):
         os.makedirs(self.cfg.output_dir, exist_ok=True)
@@ -331,7 +338,7 @@ def _cmd_check(cfg: RunConfig) -> int:
             br = commutator(g_op, model.interaction)
             m = span.membership(br)
             worst = max(worst, m.residual_norm / max(br.norm(), 1e-300))
-        closes = worst <= 1e-9
+        closes = worst <= tol
         rep.add(f"control brackets with interaction close into the control span: "
                 f"{closes} (worst relative residual {worst:.3e})")
         if closes and ker.member and necessary.verdict != "necessary_failed":
@@ -502,31 +509,23 @@ def _make_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--state", dest="state_preset")
     p_syn.add_argument("--lift-complement", action="store_true")
 
-    p_sim = sub.add_parser("simulate", help="single trajectory to CSV")
-    common(p_sim)
-    p_sim.add_argument("--mode", choices=["open", "closed"], default="open")
-    p_sim.add_argument("--feedback", choices=["least_squares", "protective"],
+    def integrating(name, help_text, mode, out_help):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.add_argument("--mode", choices=["open", "closed"], default=mode)
+        p.add_argument("--feedback", choices=["least_squares", "protective"],
                        default="least_squares")
-    p_sim.add_argument("--lift-complement", action="store_true")
-    p_sim.add_argument("--schedule", dest="schedule_kind",
+        p.add_argument("--lift-complement", action="store_true")
+        p.add_argument("--schedule", dest="schedule_kind",
                        choices=["zero", "constant", "sinusoidal"])
-    p_sim.add_argument("--state", dest="state_preset")
-    p_sim.add_argument("--dt", type=float)
-    p_sim.add_argument("--t-end", type=float, dest="t_end")
-    p_sim.add_argument("--out", help="trajectory CSV filename")
+        p.add_argument("--state", dest="state_preset")
+        p.add_argument("--dt", type=float)
+        p.add_argument("--t-end", type=float, dest="t_end")
+        p.add_argument("--out", help=out_help)
 
-    p_cmp = sub.add_parser("compare", help="decoupling comparison across strengths")
-    common(p_cmp)
-    p_cmp.add_argument("--mode", choices=["open", "closed"], default="closed")
-    p_cmp.add_argument("--feedback", choices=["least_squares", "protective"],
-                       default="least_squares")
-    p_cmp.add_argument("--lift-complement", action="store_true")
-    p_cmp.add_argument("--schedule", dest="schedule_kind",
-                       choices=["zero", "constant", "sinusoidal"])
-    p_cmp.add_argument("--state", dest="state_preset")
-    p_cmp.add_argument("--dt", type=float)
-    p_cmp.add_argument("--t-end", type=float, dest="t_end")
-    p_cmp.add_argument("--out", help="comparison CSV filename")
+    integrating("simulate", "single trajectory to CSV", "open", "trajectory CSV filename")
+    integrating("compare", "decoupling comparison across strengths", "closed",
+                "comparison CSV filename")
     return parser
 
 

@@ -79,7 +79,7 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
     `H` and `controls` are skew-Hermitian generators.  Each sweep brackets
     the generators the previous sweep added (C itself first), and a
     candidate is added only when its residual against the current
-    orthonormal basis exceeds `tol` (relative to the largest vector seen);
+    orthonormal basis exceeds `tol` (relative to the unit-norm candidate);
     a sweep that adds nothing terminates the iteration with converged=True.
     """
     def control(Hi: Operator):

@@ -510,21 +510,20 @@ def _closure(seeds: Sequence[OperatorLike], brackets: Sequence[Callable],
     Sweep d applies every bracket, `(T, |T|) -> (candidate, scale of its
     ingredients)`, to the generators accepted in sweep d - 1 (the seeds are
     sweep 0).  Pairs from earlier sweeps are not tried again: a rejected
-    candidate changes nothing, and the span, its key columns and the largest
-    vector seen only grow, so a pair rejected once is rejected again.
-    Candidates below 1e-12 times their scale are cancellation noise, which
-    normalizing would turn into spurious directions.  Returns (generators,
+    candidate changes nothing, and the span and its key columns only grow,
+    so a pair rejected once is rejected again.  Candidates below 1e-12
+    times their scale are cancellation noise, which normalizing would turn
+    into spurious directions; the rest are normalized, so the rank cutoff
+    `tol` is relative to their unit norm.  Returns (generators,
     origins, depth, converged); origins[i] is (None, s) for seed s and (j, k)
     for bracket k applied to generator j.
     """
     span = _IncrementalSpan()
     keys: list[tuple[float, int]] = []
-    largest = 0.0  # the rank cutoff is relative to the largest vector seen
     gens: list[OperatorLike] = []
     origins: list[tuple[Optional[int], int]] = []
 
     def add(op: OperatorLike, floor: float, origin: tuple[Optional[int], int]):
-        nonlocal largest
         n = op.norm()
         if n > floor and np.isfinite(n):
             op = (1.0 / n) * op
@@ -534,10 +533,7 @@ def _closure(seeds: Sequence[OperatorLike], brackets: Sequence[Callable],
             if new:
                 keys.extend(new)
                 span.widen(len(new) * op.dim * op.dim)
-            v = vectorize(op, tuple(keys))
-            largest = max(largest, float(np.linalg.norm(v)))
-            cutoff = tol * largest
-            if span.add(v, cutoff) > cutoff:
+            if span.add(vectorize(op, tuple(keys)), tol) > tol:
                 gens.append(op)
                 origins.append(origin)
 

@@ -1,9 +1,10 @@
 """Time integration of open- and closed-loop dynamics and decoupling reports.
 
-The three trajectory functions share one time loop (`_propagate`), which
-validates the inputs, records the complex coherence y(t) = <xi|C|xi>, the
-state norm and the applied controls, and aborts through the norm guard any
-run whose state norm drifts beyond the configured budget.  At each grid
+The three trajectory functions share one time loop (`_points`), which
+validates the inputs, yields the complex coherence y(t) = <xi|C|xi>, the
+state norm and the applied controls at each grid point, and aborts through
+the norm guard any run whose state norm drifts beyond the configured
+budget; `_propagate` collects that stream into a `Trajectory`.  At each grid
 point the loop asks a step rule for the applied control and the next state:
 fixed-step classical fourth-order integration (`_rk4`) for the open loop,
 u = v(t), and the closed loop, u = alpha(xi) + beta(xi) v(t) with the
@@ -97,10 +98,6 @@ class ControlSchedule:
             raise ValueError("amplitudes, frequencies, phases must share length")
         return cls("sinusoidal", a.size, lambda t: a * np.sin(w * t + p))
 
-    @classmethod
-    def callback(cls, fn: Callable[[float], np.ndarray], n_channels: int) -> "ControlSchedule":
-        return cls("callback", n_channels, lambda t: np.asarray(fn(t), dtype=float))
-
     def __call__(self, t: float) -> np.ndarray:
         u = self._fn(t)
         if u.size != self.n_channels:
@@ -138,7 +135,6 @@ class DecouplingReport:
     runtimes: dict
     tolerance: float
     passed: bool
-    trajectories: dict = field(default_factory=dict)
 
 
 def preset_state(model: SystemModel, name: str = "dfs_pair") -> np.ndarray:
@@ -165,62 +161,60 @@ def preset_state(model: SystemModel, name: str = "dfs_pair") -> np.ndarray:
     raise ValueError(f"unknown state preset {name!r}")
 
 
-def _coherence_matrix(model: SystemModel, t: float) -> np.ndarray:
-    C = model.coherence_op
-    if isinstance(C, TimeOperator):
-        return C.evaluate(t).matrix
-    return C.matrix
-
-
-def _check_norm(nrm: float, t: float, guard: float, context: str):
-    if abs(nrm - 1.0) > guard:
-        raise NormGuardError(
-            f"{context}: state norm drifted to {float(nrm)!r} at t = {t:.6f} "
-            f"(budget {guard:g}); reduce dt or inspect the control magnitudes")
-
-
 # step(t, xi, last) -> (control applied at t, state at t + dt; None when last)
 StepRule = Callable[[float, np.ndarray, bool], tuple[np.ndarray, Optional[np.ndarray]]]
 
 
-def _propagate(model: SystemModel, schedule: ControlSchedule, xi0: np.ndarray,
-               t_end: float, dt: float, norm_guard: float, context: str, mode: str,
-               make_step: Callable[[np.ndarray, np.ndarray], StepRule]) -> Trajectory:
+def _points(model: SystemModel, schedule: ControlSchedule, xi0: np.ndarray,
+            t_end: float, dt: float, norm_guard: float, context: str,
+            make_step: Callable[[np.ndarray, np.ndarray], StepRule]):
     """The time loop behind every trajectory function.
 
     Validates the inputs, then builds the step rule from the static
     generator (drift + interaction) and the stacked control generators, and
-    calls it once per grid point, recording the state, y, the norm and the
-    applied control; the norm guard runs before each step.
+    yields (t, state, y, norm, applied control) once per grid point; the
+    norm guard runs before each step.
     """
     xi = np.asarray(xi0, dtype=complex).ravel()
     if abs(np.linalg.norm(xi) - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    n_points = _grid_size(t_end, dt)
     if schedule.n_channels != model.n_controls:
         raise ValueError(f"schedule has {schedule.n_channels} channels, "
                          f"model expects {model.n_controls}")
 
     step = make_step(model.drift.matrix + model.interaction.matrix,
                      np.stack([op.matrix for op in model.controls]))
-    n_steps = int(round(t_end / dt))
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, model.dim), dtype=complex)
-    ys = np.empty(n_steps + 1, dtype=complex)
-    norms = np.empty(n_steps + 1)
-    controls = np.empty((n_steps + 1, model.n_controls))
-
-    for k in range(n_steps + 1):
+    C = model.coherence_op
+    for k in range(n_points):
         t = k * dt
-        times[k] = t
-        states[k] = xi
-        norms[k] = np.linalg.norm(xi)
-        ys[k] = np.vdot(xi, _coherence_matrix(model, t) @ xi)
-        _check_norm(norms[k], t, norm_guard, context)
-        controls[k], xi = step(t, xi, k == n_steps)
+        nrm = np.linalg.norm(xi)
+        y = np.vdot(xi, (C.evaluate(t) if isinstance(C, TimeOperator) else C).matrix @ xi)
+        if abs(nrm - 1.0) > norm_guard:
+            raise NormGuardError(
+                f"{context}: state norm drifted to {float(nrm)!r} at t = {t:.6f} "
+                f"(budget {norm_guard:g}); reduce dt or inspect the control magnitudes")
+        u, nxt = step(t, xi, k == n_points - 1)
+        yield t, xi, y, nrm, u
+        xi = nxt
 
-    return Trajectory(times, states, ys, norms, controls,
+
+def _grid_size(t_end: float, dt: float) -> int:
+    """Number of points of the time grid 0, dt, ..., t_end."""
+    if dt <= 0 or t_end <= 0:
+        raise ValueError("dt and t_end must be positive")
+    return int(round(t_end / dt)) + 1
+
+
+def _propagate(model: SystemModel, t_end: float, dt: float, mode: str,
+               points) -> Trajectory:
+    """Collects a stream of `_points` into a Trajectory, whose arrays are
+    fields of one record table sized to the grid up front."""
+    table = np.fromiter(points, [("t", float), ("state", complex, (model.dim,)),
+                                 ("y", complex), ("norm", float),
+                                 ("u", float, (model.n_controls,))],
+                        count=_grid_size(t_end, dt))
+    return Trajectory(table["t"], table["state"], table["y"], table["norm"], table["u"],
                       {"mode": mode, "dt": dt, "model": model.name})
 
 
@@ -257,9 +251,9 @@ def integrate_open_loop(model: SystemModel, schedule: ControlSchedule,
                         xi0: np.ndarray, t_end: float, dt: float = DEFAULT_DT,
                         norm_guard: float = DEFAULT_NORM_GUARD) -> Trajectory:
     """Fixed-step RK4 for xi' = (drift + sum u_i(t) control_i + interaction) xi."""
-    return _propagate(model, schedule, xi0, t_end, dt, norm_guard,
-                      "open-loop integration", "open",
-                      lambda static, ctrl: _rk4(static, ctrl, schedule, dt))
+    return _propagate(model, t_end, dt, "open", _points(
+        model, schedule, xi0, t_end, dt, norm_guard, "open-loop integration",
+        lambda static, ctrl: _rk4(static, ctrl, schedule, dt)))
 
 
 def propagate_piecewise_exact(model: SystemModel, schedule: ControlSchedule,
@@ -288,8 +282,48 @@ def propagate_piecewise_exact(model: SystemModel, schedule: ControlSchedule,
 
         return step
 
-    return _propagate(model, schedule, xi0, t_end, dt, DEFAULT_NORM_GUARD,
-                      "exact propagation", "exact", exact_step)
+    return _propagate(model, t_end, dt, "exact", _points(
+        model, schedule, xi0, t_end, dt, DEFAULT_NORM_GUARD, "exact propagation",
+        exact_step))
+
+
+def _closed_loop_points(model: SystemModel, v_schedule: ControlSchedule,
+                        xi0: np.ndarray, t_end: float, dt: float,
+                        basis: Optional[InvariantBasis], tol: float,
+                        norm_guard: float, feedback: str, stats: dict):
+    """The `_points` stream of `integrate_closed_loop`; `stats` collects the
+    synthesis diagnostics as the stream is consumed."""
+    stats.update(ranks_seen=set(), synthesis_warnings=0,
+                 beta_rank_min=model.n_controls, max_step1_residual=0.0)
+
+    def feedback_step(static: np.ndarray, ctrl: np.ndarray) -> StepRule:
+        if feedback == "least_squares":
+            synth = FeedbackSynthesizer(
+                model, build_invariant_basis(model) if basis is None else basis, tol)
+        elif feedback == "protective":
+            synth = ProtectiveSynthesizer(model)
+        else:
+            raise ValueError(f"unknown feedback mode {feedback!r}")
+
+        def control(t: float, state: np.ndarray, v: np.ndarray) -> np.ndarray:
+            try:
+                s = synth.sample(state)
+            except DegenerateStateError as exc:
+                raise DegenerateStateError(
+                    f"{exc} [closed-loop stage at t = {t:.6f}; state dump: "
+                    f"{np.array2string(state, precision=6)}]") from exc
+            stats["ranks_seen"].add(s.ranks)
+            stats["synthesis_warnings"] += len(s.warnings)
+            stats["beta_rank_min"] = min(stats["beta_rank_min"], s.beta_rank)
+            if s.residuals:
+                stats["max_step1_residual"] = max(stats["max_step1_residual"],
+                                                  max(s.residuals[:-1], default=0.0))
+            return s.alpha + s.beta @ v
+
+        return _rk4(static, ctrl, v_schedule, dt, control)
+
+    return _points(model, v_schedule, xi0, t_end, dt, norm_guard,
+                   "closed-loop integration", feedback_step)
 
 
 def integrate_closed_loop(model: SystemModel, v_schedule: ControlSchedule,
@@ -305,42 +339,10 @@ def integrate_closed_loop(model: SystemModel, v_schedule: ControlSchedule,
     algorithm (built from `basis`, or from a fresh invariant basis when it is
     None), "protective" for the block-protecting projector feedback.
     """
-    ranks_seen: set[tuple] = set()
-    n_warnings = 0
-    beta_rank_min = model.n_controls
-    max_step_residual = 0.0
-
-    def feedback_step(static: np.ndarray, ctrl: np.ndarray) -> StepRule:
-        if feedback == "least_squares":
-            synth = FeedbackSynthesizer(
-                model, build_invariant_basis(model) if basis is None else basis, tol)
-        elif feedback == "protective":
-            synth = ProtectiveSynthesizer(model)
-        else:
-            raise ValueError(f"unknown feedback mode {feedback!r}")
-
-        def control(t: float, state: np.ndarray, v: np.ndarray) -> np.ndarray:
-            nonlocal n_warnings, beta_rank_min, max_step_residual
-            try:
-                s = synth.sample(state)
-            except DegenerateStateError as exc:
-                raise DegenerateStateError(
-                    f"{exc} [closed-loop stage at t = {t:.6f}; state dump: "
-                    f"{np.array2string(state, precision=6)}]") from exc
-            ranks_seen.add(s.ranks)
-            n_warnings += len(s.warnings)
-            beta_rank_min = min(beta_rank_min, s.beta_rank)
-            if s.residuals:
-                max_step_residual = max(max_step_residual,
-                                        max(s.residuals[:-1], default=0.0))
-            return s.alpha + s.beta @ v
-
-        return _rk4(static, ctrl, v_schedule, dt, control)
-
-    traj = _propagate(model, v_schedule, xi0, t_end, dt, norm_guard,
-                      "closed-loop integration", f"closed:{feedback}", feedback_step)
-    traj.diagnostics.update(ranks_seen=sorted(ranks_seen), synthesis_warnings=n_warnings,
-                            beta_rank_min=beta_rank_min, max_step1_residual=max_step_residual)
+    stats: dict = {}
+    traj = _propagate(model, t_end, dt, f"closed:{feedback}", _closed_loop_points(
+        model, v_schedule, xi0, t_end, dt, basis, tol, norm_guard, feedback, stats))
+    traj.diagnostics.update(stats, ranks_seen=sorted(stats["ranks_seen"]))
     return traj
 
 
@@ -357,8 +359,7 @@ def compare_decoupling(model_builder: Callable[[ModelParams], SystemModel],
                        norm_guard: float = DEFAULT_NORM_GUARD,
                        feedback: str = "least_squares",
                        basis_builder: Optional[Callable[[SystemModel], InvariantBasis]] = None,
-                       csv_path: Optional[str] = None,
-                       keep_trajectories: bool = False) -> DecouplingReport:
+                       csv_path: Optional[str] = None) -> DecouplingReport:
     """Run one trajectory per interaction strength and compare |y| traces.
 
     g_values must contain 0 (the closed-system reference).  `mode` is
@@ -398,7 +399,6 @@ def compare_decoupling(model_builder: Callable[[ModelParams], SystemModel],
         runtimes=runtimes,
         tolerance=tolerance,
         passed=all(dev <= tolerance for g, dev in deviations.items() if g != 0),
-        trajectories=runs if keep_trajectories else {},
     )
     if csv_path:
         _write_compare_csv(report, ref.times, {g: runs[g].abs_y for g in gs}, csv_path)

@@ -1,9 +1,14 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qdecouple.cli import ConfigError, parse_config_file, run_command
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -216,6 +221,31 @@ def test_compare_protective_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS max deviation < tol" in out
+
+
+def test_check_restructured_bracket_line_uses_invariance_tolerance(tmp_path, capsys):
+    # the worst bracket residual is about 3e-15, so a tighter tolerance flips the line
+    code = run_command(["check", "--model", "restructured", "--tolerance-invariance",
+                        "1e-16", "--output-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "close into the control span: False" in out
+    assert "VERDICT: NOT DECOUPLABLE" in out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_is_not_an_error(tmp_path, unbuffered):
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen([sys.executable, "-m", "qdecouple.cli", "dfs", "--qubits", "4",
+                             "--output-dir", str(tmp_path)], cwd=tmp_path, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before the child's first write
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err.decode()
+    assert err == b""
+    report = (tmp_path / "dfs_4q.txt").read_text()
+    assert "protected coherence pairs (70 total" in report
+    assert report.count("\n  (") == 70
 
 
 def test_tolerance_override_recorded(tmp_path, capsys):

@@ -149,7 +149,6 @@ def test_immunity_verdict_implies_identical_traces(rng):
 # ---------------------------------------------------------------------------
 
 def test_closed_loop_zero_drive_is_stationary(restructured_model, restructured_g0):
-    basis = build_invariant_basis(restructured_model)
     for m in (restructured_g0, restructured_model):
         xi0 = preset_state(m, "dfs_pair")
         traj = integrate_closed_loop(m, ControlSchedule.zero(24), xi0,
