@@ -6,9 +6,10 @@ simulate (single trajectory to CSV), compare (multi-strength decoupling
 report).  Exit codes: 0 success/pass, 2 negative verdict or failed
 comparison, 1 usage, configuration or numerical error.
 
-The config file is a flat key = value format with [section] headers;
-unknown keys are rejected with a line-anchored message.  Command-line
-flags override file values.
+The config file is a flat key = value format with [section] headers, read
+through one schema; unknown keys are rejected with a line-anchored
+message.  Command-line flags override file values, and model parameters
+that `ModelParams` rejects are config errors, raised before anything runs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -60,16 +61,6 @@ MODEL_BUILDERS = {
     "restructured": _models.build_restructured,
 }
 
-_KNOWN_KEYS = {
-    "model": {"name", "omega0", "omega_env", "g", "w", "j1", "j2", "env_levels", "n_sys"},
-    "initial_state": {"preset", "amplitudes"},
-    "schedule": {"kind", "channels", "values", "amplitudes", "frequencies", "phases"},
-    "integrator": {"dt", "t_end", "norm_guard"},
-    "tolerances": {"rank", "invariance", "decoupling"},
-    "output": {"directory"},
-}
-
-
 class ConfigError(ValueError):
     """Malformed configuration; message carries file and line."""
 
@@ -109,6 +100,44 @@ class RunConfig:
                            env_levels=self.env_levels)
 
 
+def _csv(item: type):
+    """Parser of a comma-separated list of `item` values."""
+    return lambda value: [item(x) for x in value.split(",") if x.strip()]
+
+
+def _model_name(value: str) -> str:
+    if value not in MODEL_BUILDERS:
+        raise ValueError(f"unknown model {value!r}")
+    return value
+
+
+def _schedule_kind(value: str) -> str:
+    if value == "piecewise_constant":
+        raise ValueError("schedule kind 'piecewise_constant' needs explicit "
+                         "breakpoints; use the library API for piecewise schedules")
+    if value not in ("zero", "constant", "sinusoidal"):
+        raise ValueError(f"unknown schedule kind {value!r}")
+    return value
+
+
+# [section] key -> (RunConfig field, value parser)
+_SCHEMA = {
+    "model": {"name": ("model", _model_name), "omega0": ("omega0", float),
+              "omega_env": ("omega_env", float), "g": ("g", complex), "w": ("w", complex),
+              "j1": ("j1", float), "j2": ("j2", float), "env_levels": ("env_levels", int),
+              "n_sys": ("n_sys", int)},
+    "initial_state": {"preset": ("state_preset", str), "amplitudes": ("amplitudes", _csv(complex))},
+    "schedule": {"kind": ("schedule_kind", _schedule_kind), "channels": ("channels", _csv(int)),
+                 "values": ("values", _csv(float)), "amplitudes": ("sin_amplitudes", _csv(float)),
+                 "frequencies": ("frequencies", _csv(float)), "phases": ("phases", _csv(float))},
+    "integrator": {"dt": ("dt", float), "t_end": ("t_end", float),
+                   "norm_guard": ("norm_guard", float)},
+    "tolerances": {"rank": ("tol_rank", float), "invariance": ("tol_invariance", float),
+                   "decoupling": ("tol_decoupling", float)},
+    "output": {"directory": ("output_dir", str)},
+}
+
+
 def parse_config_file(path: str) -> RunConfig:
     """Parse the flat key = value config with line-anchored errors."""
     cfg = RunConfig()
@@ -128,7 +157,7 @@ def parse_config_file(path: str) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _KNOWN_KEYS:
+            if section not in _SCHEMA:
                 err(lineno, f"unknown section [{section}]")
             continue
         if "=" not in line:
@@ -137,62 +166,14 @@ def parse_config_file(path: str) -> RunConfig:
         key, value = key.strip(), value.strip()
         if section is None:
             err(lineno, "key outside any [section]")
-        if key not in _KNOWN_KEYS[section]:
+        if key not in _SCHEMA[section]:
             err(lineno, f"unknown key {key!r} in section [{section}]")
+        name, parse = _SCHEMA[section][key]
         try:
-            _apply_key(cfg, section, key, value)
+            setattr(cfg, name, parse(value))
         except (ValueError, TypeError) as exc:
             err(lineno, f"bad value for {key!r}: {exc}")
     return cfg
-
-
-def _floats(value: str) -> list[float]:
-    return [float(x) for x in value.split(",") if x.strip()]
-
-
-def _apply_key(cfg: RunConfig, section: str, key: str, value: str):
-    if section == "model":
-        if key == "name":
-            if value not in MODEL_BUILDERS:
-                raise ValueError(f"unknown model {value!r}")
-            cfg.model = value
-        elif key == "env_levels":
-            cfg.env_levels = int(value)
-        elif key == "n_sys":
-            cfg.n_sys = int(value)
-        elif key in ("g", "w"):
-            setattr(cfg, key, complex(value))
-        else:
-            setattr(cfg, key, float(value))
-    elif section == "initial_state":
-        if key == "preset":
-            cfg.state_preset = value
-        else:
-            cfg.amplitudes = [complex(x) for x in value.split(",") if x.strip()]
-    elif section == "schedule":
-        if key == "kind":
-            if value == "piecewise_constant":
-                raise ValueError("schedule kind 'piecewise_constant' needs explicit "
-                                 "breakpoints; use the library API for piecewise schedules")
-            if value not in ("zero", "constant", "sinusoidal"):
-                raise ValueError(f"unknown schedule kind {value!r}")
-            cfg.schedule_kind = value
-        elif key == "channels":
-            cfg.channels = [int(x) for x in value.split(",") if x.strip()]
-        elif key == "values":
-            cfg.values = _floats(value)
-        elif key == "amplitudes":
-            cfg.sin_amplitudes = _floats(value)
-        elif key == "frequencies":
-            cfg.frequencies = _floats(value)
-        elif key == "phases":
-            cfg.phases = _floats(value)
-    elif section == "integrator":
-        setattr(cfg, key, float(value))
-    elif section == "tolerances":
-        setattr(cfg, f"tol_{key}", float(value))
-    elif section == "output":
-        cfg.output_dir = value
 
 
 def _validate(cfg: RunConfig):
@@ -200,11 +181,10 @@ def _validate(cfg: RunConfig):
         value = getattr(cfg, name)
         if not (np.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-    for name in ("omega0", "omega_env", "j1", "j2"):
-        if not np.isfinite(getattr(cfg, name)):
-            raise ConfigError(f"parameter {name} must be finite")
-    if not np.isfinite(cfg.g) or not np.isfinite(cfg.w):
-        raise ConfigError("couplings g, w must be finite")
+    try:
+        cfg.params()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +257,13 @@ def _initial_state(cfg: RunConfig, model) -> np.ndarray:
 # report plumbing
 # ---------------------------------------------------------------------------
 
+def _stdout_to_devnull():
+    """The reader of stdout is gone: later writes and the final flush go to os.devnull."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 class _Report:
     def __init__(self, cfg: RunConfig, title: str):
         self.lines: list[str] = [
@@ -293,11 +280,8 @@ class _Report:
         try:
             print(line, flush=True)
         except BrokenPipeError:
-            # the reader is gone: the rest of the echo and the final flush go
-            # to os.devnull, and the report is still written
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            # the rest of the echo goes to os.devnull; the report is still written
+            _stdout_to_devnull()
 
     def write(self, filename: str):
         os.makedirs(self.cfg.output_dir, exist_ok=True)
@@ -530,11 +514,10 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    for attr in ("model", "env_levels", "output_dir", "tol_rank", "tol_invariance",
-                 "tol_decoupling", "schedule_kind", "state_preset", "dt", "t_end"):
-        val = getattr(args, attr, None)
-        if val is not None:
-            setattr(cfg, attr, val)
+    for f in fields(RunConfig):
+        val = getattr(args, f.name, None)
+        if val is not None and f.name != "g":
+            setattr(cfg, f.name, val)
     g_flag = getattr(args, "g", None)
     if g_flag is not None and "," in g_flag and args.command != "compare":
         raise ValueError(f"--g takes one value with {args.command}; a list is for compare")
@@ -544,9 +527,8 @@ def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def run_command(argv: Optional[list[str]] = None) -> int:
-    parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _make_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; 2 is reserved for
         # negative verdicts here, so usage problems map to 1
@@ -567,12 +549,10 @@ def run_command(argv: Optional[list[str]] = None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(cfg, args.mode, args.feedback,
                                  args.lift_complement, args.out)
-        if args.command == "compare":
-            g_flag = args.g or "0,10"
-            g_list = [complex(x) for x in g_flag.split(",") if x.strip()]
-            return _cmd_compare(cfg, g_list, args.mode, args.feedback,
-                                args.lift_complement, args.out)
-        parser.error(f"unknown command {args.command!r}")
+        # compare: the required subparsers admit no other command
+        g_list = _csv(complex)(args.g or "0,10")
+        return _cmd_compare(cfg, g_list, args.mode, args.feedback,
+                            args.lift_complement, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -582,7 +562,13 @@ def run_command(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command())
+    code = run_command()
+    try:
+        # argparse's --help may still sit in the buffer: a closed pipe shows here
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _stdout_to_devnull()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

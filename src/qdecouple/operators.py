@@ -377,7 +377,6 @@ def matrix_exponential(A: Operator) -> Operator:
         if dev > UNITARITY_TOL:
             raise NumericalError(
                 f"exponential of skew-Hermitian generator lost unitarity: |U+U - I| = {dev:.3e}")
-        return Operator(m, "general", f"exp({A.label})")
     return Operator(m, "general", f"exp({A.label})")
 
 

@@ -61,7 +61,6 @@ class ControlSchedule:
     kind: str
     n_channels: int
     _fn: Callable[[float], np.ndarray]
-    breakpoints: tuple[float, ...] = ()
 
     @classmethod
     def zero(cls, n_channels: int) -> "ControlSchedule":
@@ -86,7 +85,7 @@ class ControlSchedule:
         def fn(t: float) -> np.ndarray:
             return vals[int(np.searchsorted(bp, t, side="right"))]
 
-        return cls("piecewise_constant", vals.shape[1], fn, tuple(bp))
+        return cls("piecewise_constant", vals.shape[1], fn)
 
     @classmethod
     def sinusoidal(cls, amplitudes: Sequence[float], frequencies: Sequence[float],

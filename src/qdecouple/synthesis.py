@@ -179,7 +179,7 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
             f"delta operator {delta_ops[idx].label!r} does not commute with the "
             f"coherence operator (residual {worst:.3e})")
 
-    ctrl_ops = [Operator(op.matrix, "skew_hermitian", op.label) for op in model.controls]
+    ctrl_ops = list(model.controls)
     delta_list = list(delta_ops)
     table: dict[str, float] = {"delta_delta": 0.0, "delta_g": 0.0,
                                "delta_d": 0.0, "d_g": 0.0}

@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qdecouple.cli import ConfigError, parse_config_file, run_command
+from qdecouple.cli import ConfigError, RunConfig, parse_config_file, run_command
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -44,6 +45,43 @@ directory = out
     assert cfg.g == 10 + 0j
     assert cfg.t_end == 2.0
     assert cfg.output_dir == "out"
+
+
+# every key of the six sections: config line, RunConfig field, parsed value
+CONFIG_KEYS = [
+    ("[model]\nname = restructured", "model", "restructured"),
+    ("[model]\nomega0 = 2.5", "omega0", 2.5),
+    ("[model]\nomega_env = 0.5", "omega_env", 0.5),
+    ("[model]\ng = 3+4j", "g", 3 + 4j),
+    ("[model]\nw = 0.5-1j", "w", 0.5 - 1j),
+    ("[model]\nj1 = 1.5", "j1", 1.5),
+    ("[model]\nj2 = -2", "j2", -2.0),
+    ("[model]\nenv_levels = 4", "env_levels", 4),
+    ("[model]\nn_sys = 6", "n_sys", 6),
+    ("[initial_state]\npreset = random", "state_preset", "random"),
+    ("[initial_state]\namplitudes = 1, 0.5j, 0, 1-1j", "amplitudes", [1 + 0j, 0.5j, 0j, 1 - 1j]),
+    ("[schedule]\nkind = sinusoidal", "schedule_kind", "sinusoidal"),
+    ("[schedule]\nchannels = 1, 4,", "channels", [1, 4]),
+    ("[schedule]\nvalues = 0.5, 2", "values", [0.5, 2.0]),
+    ("[schedule]\namplitudes = 1.5", "sin_amplitudes", [1.5]),
+    ("[schedule]\nfrequencies = 1, 3", "frequencies", [1.0, 3.0]),
+    ("[schedule]\nphases = 0, 1.5", "phases", [0.0, 1.5]),
+    ("[integrator]\ndt = 1e-4", "dt", 1e-4),
+    ("[integrator]\nt_end = 3", "t_end", 3.0),
+    ("[integrator]\nnorm_guard = 1e-6", "norm_guard", 1e-6),
+    ("[tolerances]\nrank = 1e-8", "tol_rank", 1e-8),
+    ("[tolerances]\ninvariance = 1e-7", "tol_invariance", 1e-7),
+    ("[tolerances]\ndecoupling = 1e-3", "tol_decoupling", 1e-3),
+    ("[output]\ndirectory = out/run", "output_dir", "out/run"),
+]
+
+
+@pytest.mark.parametrize("text,name,value", CONFIG_KEYS,
+                         ids=[text.split(" =")[0].replace("\n", " ") for text, _, _ in CONFIG_KEYS])
+def test_config_key_sets_its_field(tmp_path, text, name, value):
+    cfg = parse_config_file(_write(tmp_path, text + "\n"))
+    assert cfg == replace(RunConfig(), **{name: value})
+    assert repr(getattr(cfg, name)) == repr(value)  # int stays int, complex stays complex
 
 
 def test_config_unknown_key_is_line_anchored(tmp_path):
@@ -90,7 +128,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("[schedule]\nkind = piecewise_constant\n",
      ":2: bad value for 'kind': schedule kind 'piecewise_constant' needs explicit "
      "breakpoints; use the library API for piecewise schedules"),
-], ids=["norm_guard", "rank", "decoupling", "piecewise"])
+    ("[model]\ng = nan\n", "config error: parameter g must be finite\n"),
+], ids=["norm_guard", "rank", "decoupling", "piecewise", "g_nan"])
 def test_config_value_rejected_before_running(tmp_path, capsys, text, message):
     cfg_path = _write(tmp_path, text)
     code = run_command(["--config", cfg_path, "simulate", "--model", "two_qubit",
@@ -99,6 +138,16 @@ def test_config_value_rejected_before_running(tmp_path, capsys, text, message):
     assert code == 1
     assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "simulate_report.txt").exists()
+
+
+def test_model_params_rejected_before_running(tmp_path, capsys):
+    code = run_command(["dfs", "--qubits", "2", "--env-levels", "1",
+                        "--output-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == "config error: env_levels must be >= 2, got 1\n"
+    assert out == ""
+    assert not (tmp_path / "dfs_2q.txt").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +282,31 @@ def test_check_restructured_bracket_line_uses_invariance_tolerance(tmp_path, cap
     assert "VERDICT: NOT DECOUPLABLE" in out
 
 
-@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-def test_closed_stdout_is_not_an_error(tmp_path, unbuffered):
+def _run_into_closed_stdout(tmp_path, argv, unbuffered):
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
-    proc = subprocess.Popen([sys.executable, "-m", "qdecouple.cli", "dfs", "--qubits", "4",
-                             "--output-dir", str(tmp_path)], cwd=tmp_path, env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = subprocess.Popen([sys.executable, "-m", "qdecouple.cli", *argv], cwd=tmp_path,
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()  # the reader is gone before the child's first write
     _, err = proc.communicate(timeout=120)
-    assert proc.returncode == 0, err.decode()
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_is_not_an_error(tmp_path, unbuffered):
+    code, err = _run_into_closed_stdout(
+        tmp_path, ["dfs", "--qubits", "4", "--output-dir", str(tmp_path)], unbuffered)
+    assert code == 0, err.decode()
     assert err == b""
     report = (tmp_path / "dfs_4q.txt").read_text()
     assert "protected coherence pairs (70 total" in report
     assert report.count("\n  (") == 70
+
+
+def test_help_into_closed_stdout_is_not_an_error(tmp_path):
+    # buffered: the help text meets the closed pipe only at the final flush
+    code, err = _run_into_closed_stdout(tmp_path, ["simulate", "--help"], "")
+    assert code == 0, err.decode()
+    assert err == b""
 
 
 def test_tolerance_override_recorded(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from qdecouple import (
     ModelParams,
     Operator,
+    Span,
     TensorLayout,
     build_ancilla_system,
     build_electrooptic,
@@ -16,6 +17,7 @@ from qdecouple import (
     make_primitive,
     span_membership,
 )
+from qdecouple.models import restructured_system_operators
 from qdecouple.operators import NumericalError
 import scipy.linalg
 
@@ -210,6 +212,31 @@ def test_restructured_control_brackets_close(restructured_model):
         br = commutator(g_op, m.interaction)
         res = span_membership(br, gens)
         assert res.residual_norm < 1e-9 * max(1.0, br.norm())
+
+
+@pytest.mark.parametrize("env_levels,degree", [(n, p) for n in range(2, 6)
+                                               for p in range(1, n + 2)])
+def test_internal_model_law(env_levels, degree):
+    # the internal model principle: the brackets of the eight system operators
+    # dressed with D_w^0 ... D_w^(degree-1) close with H_SE into their span
+    # (criterion 4, tested as `check` does) iff the dressing carries the model
+    # of the whole truncated environment, degree >= env_levels
+    params = ModelParams(env_levels=env_levels)
+    d_w = make_primitive("displacement", env_levels, w=params.w).matrix
+    powers = [np.linalg.matrix_power(d_w, i) for i in range(degree)]
+    controls = [Operator(np.kron(s_op, env), "hermitian").times_minus_i()
+                for s_op in restructured_system_operators() for env in powers]
+    interaction = build_restructured(params).interaction
+    span = Span(controls, 1e-9)
+    worst = 0.0
+    for g_op in controls:
+        br = commutator(g_op, interaction)
+        worst = max(worst, span.membership(br).residual_norm / max(br.norm(), 1e-300))
+    assert (worst <= 1e-9) == (degree >= env_levels), worst
+    if (env_levels, degree) == (3, 3):
+        shipped = build_restructured(params).controls
+        assert all(np.allclose(a.matrix, b.matrix, rtol=0, atol=1e-12)
+                   for a, b in zip(controls, shipped, strict=True))
 
 
 # ---------------------------------------------------------------------------
