@@ -8,8 +8,9 @@ comparison, 1 usage, configuration or numerical error.
 
 The config file is a flat key = value format with [section] headers, read
 through one schema; unknown keys are rejected with a line-anchored
-message.  Command-line flags override file values, and model parameters
-that `ModelParams` rejects are config errors, raised before anything runs.
+message.  Command-line flags override file values, and values the library
+rejects (model parameters, the electro-optic cavity size, dfs's qubit
+count) are config errors, raised before anything runs.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ import numpy as np
 
 from . import models as _models
 from .invariance import (
+    _check_dfs_qubits,
     check_controller_necessary,
     check_open_loop_invariance,
     find_dfs_coherences,
     generate_ctilde,
 )
 from .geometry import kernel_dy_member
-from .models import ModelParams
+from .models import ModelParams, _check_n_sys
 from .operators import Span, commutator
 from .simulator import (
     ControlSchedule,
@@ -176,13 +178,18 @@ def parse_config_file(path: str) -> RunConfig:
     return cfg
 
 
-def _validate(cfg: RunConfig):
+def _validate(cfg: RunConfig, n_qubits: Optional[int] = None):
+    """Rejects, before anything runs, the values the library would reject;
+    `n_qubits` is dfs's register size."""
     for name in ("dt", "t_end", "norm_guard", "tol_rank", "tol_invariance", "tol_decoupling"):
         value = getattr(cfg, name)
         if not (np.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be finite and positive, got {value!r}")
     try:
         cfg.params()
+        _check_n_sys(cfg.n_sys)
+        if n_qubits is not None:
+            _check_dfs_qubits(n_qubits)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -538,7 +545,7 @@ def run_command(argv: Optional[list[str]] = None) -> int:
         cfg = _merge_flags(cfg, args)
         if cfg.model is None:
             cfg.model = "restructured" if args.command == "synthesize-demo" else "two_qubit"
-        _validate(cfg)
+        _validate(cfg, args.qubits if args.command == "dfs" else None)
 
         if args.command == "check":
             return _cmd_check(cfg)

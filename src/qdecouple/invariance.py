@@ -150,6 +150,12 @@ def check_controller_necessary(C: OperatorLike, dist: OperatorDistribution,
     return InvarianceReport("necessary_passed_sufficient_failed", None, tuple(residuals))
 
 
+def _check_dfs_qubits(n_qubits: int):
+    """The register sizes `find_dfs_coherences` searches: 1 to 4 qubits."""
+    if not 1 <= n_qubits <= 4:
+        raise ValueError(f"n_qubits must be within [1, 4], got {n_qubits}")
+
+
 def find_dfs_coherences(n_qubits: int, env_levels: int = 3, tol: float = DEFAULT_TOL,
                         omega0: float = 1.0, omega_env: float = 1.0,
                         g: complex = 1.0) -> tuple[list[tuple[str, str]], list[Operator]]:
@@ -161,8 +167,7 @@ def find_dfs_coherences(n_qubits: int, env_levels: int = 3, tol: float = DEFAULT
     Returns lexicographically sorted bit-string pairs and the surviving
     projector operators.
     """
-    if not 1 <= n_qubits <= 4:
-        raise ValueError(f"n_qubits must be within [1, 4], got {n_qubits}")
+    _check_dfs_qubits(n_qubits)
     params = ModelParams(omega0=omega0, omega_env=omega_env, g=g, env_levels=env_levels)
     layout, drift, interaction = _collective_dephasing(
         params, tuple(f"q{i}" for i in range(n_qubits)), n_qubits)

@@ -190,6 +190,12 @@ def build_two_qubit(params: ModelParams = ModelParams()) -> SystemModel:
                        params=params, name="two_qubit")
 
 
+def _check_n_sys(n_sys: int):
+    """The cavity truncation of `build_electrooptic`: at least three levels."""
+    if n_sys < 3:
+        raise ValueError(f"n_sys must be >= 3, got {n_sys}")
+
+
 def build_electrooptic(n_sys: int = 10, params: ModelParams = ModelParams(g=1.0)) -> SystemModel:
     """Driven oscillator with a rotating-frame quadrature readout.
 
@@ -197,8 +203,7 @@ def build_electrooptic(n_sys: int = 10, params: ModelParams = ModelParams(g=1.0)
     interaction exchanges quanta with the bath mode.  The control (a^+ - a)
     is already skew-Hermitian and enters the dynamics unscaled.
     """
-    if n_sys < 3:
-        raise ValueError(f"n_sys must be >= 3, got {n_sys}")
+    _check_n_sys(n_sys)
     n_env = params.env_levels
     layout = TensorLayout((n_sys, n_env), ("cavity", "env"))
     a = make_primitive("boson_lower", n_sys)

@@ -17,6 +17,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -474,16 +475,21 @@ class _IncrementalSpan:
     cutoff is rejected on the first.  One classical pass loses orthogonality
     only near the cutoff, so survivors below 1e6 times it are projected once
     more ("twice is enough", Giraud, Langou & Rozloznik 2005) and the rest
-    are taken as they are.
+    are taken as they are.  The rows live in a buffer that doubles when it
+    is full, so an accept copies one row and the buffer never holds more
+    than twice the rows accepted.
     """
 
     def __init__(self, width: int = 0, dtype=complex):
-        self.rows = np.zeros((0, width), dtype=dtype)
+        self._buf = np.zeros((0, width), dtype=dtype)
+        self.rows = self._buf  # the accepted rows: the buffer's leading rows
 
     def widen(self, extra: int):
         """Append `extra` zero columns; exact, as no row has entries there."""
-        pad = np.zeros((self.rows.shape[0], extra), dtype=self.rows.dtype)
-        self.rows = np.concatenate([self.rows, pad], axis=1)
+        n, width = self.rows.shape
+        self._buf = np.zeros((self._buf.shape[0], width + extra), dtype=self._buf.dtype)
+        self._buf[:n, :width] = self.rows
+        self.rows = self._buf[:n]
 
     def add(self, v: np.ndarray, cutoff: float) -> float:
         """Residual norm of `v` off the rows; `v` joins when it exceeds `cutoff`."""
@@ -491,14 +497,20 @@ class _IncrementalSpan:
         if v.size != rows.shape[1]:
             raise DimensionMismatchError(f"vector has {v.size} entries, the span "
                                          f"{rows.shape[1]}")
-        # (R @ v*)* is R* @ v without copying the rows to conjugate them
-        v = v - (rows @ v.conj()).conj() @ rows
-        rn = np.sqrt(np.vdot(v, v).real)
+        # (R @ v*)* is R* @ v without copying the rows to conjugate them;
+        # conj returns real arrays as they are
+        v = v - rows.dot(v.conj()).conj().dot(rows)
+        rn = math.sqrt(np.vdot(v, v).real)
         if cutoff < rn < 1e6 * cutoff:
-            v = v - (rows @ v.conj()).conj() @ rows
-            rn = np.sqrt(np.vdot(v, v).real)
+            v = v - rows.dot(v.conj()).conj().dot(rows)
+            rn = math.sqrt(np.vdot(v, v).real)
         if rn > cutoff:
-            self.rows = np.concatenate([rows, (v / rn)[None, :]])
+            n = rows.shape[0]
+            if n == self._buf.shape[0]:
+                self._buf = np.empty((max(2 * n, 1), rows.shape[1]), dtype=rows.dtype)
+                self._buf[:n] = rows
+            self._buf[n] = v / rn
+            self.rows = self._buf[:n + 1]
         return rn
 
 

@@ -224,23 +224,34 @@ def _rk4(static: np.ndarray, ctrl: np.ndarray, schedule: ControlSchedule, dt: fl
     u is the drive v itself, or `control(t, state, v)` in closed loop.  A
     (piecewise-)constant drive is frozen at its value at the step start, so
     the stage at t + dt cannot leak the next segment's value into the
-    current step; other drives are evaluated at each stage time.
+    current step; other drives are evaluated at each stage time.  The
+    control field sum_i u_i ctrl_i is formed once per drive value: once a
+    step for a frozen drive, once for the two midpoint stages of any other
+    open-loop drive, and at every stage in closed loop, where u follows the
+    state.
     """
     frozen = schedule.kind in ("constant", "piecewise_constant")
+    flat = ctrl.reshape(ctrl.shape[0], -1)
 
-    def rhs(t: float, state: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rhs(t: float, state: np.ndarray, v: np.ndarray, F: Optional[np.ndarray] = None):
+        """(xi', applied u, control field); an open-loop stage takes the
+        field `F` of an earlier stage with the same drive value."""
         u = v if control is None else control(t, state, v)
-        return static @ state + np.tensordot(u, ctrl, axes=1) @ state, u
+        if F is None or control is not None:
+            # the product np.tensordot(u, ctrl, axes=1) forms, as one flat dot
+            F = np.dot(u[None, :], flat).reshape(ctrl.shape[1:])
+        return static @ state + F @ state, u, F
 
     def step(t: float, xi: np.ndarray, last: bool):
         v1 = schedule(t)
-        k1, u1 = rhs(t, xi, v1)
+        k1, u1, F1 = rhs(t, xi, v1)
         if last:
             return u1, None
         v2, v4 = (v1, v1) if frozen else (schedule(t + dt / 2), schedule(t + dt))
-        k2, _ = rhs(t + dt / 2, xi + (dt / 2) * k1, v2)
-        k3, _ = rhs(t + dt / 2, xi + (dt / 2) * k2, v2)
-        k4, _ = rhs(t + dt, xi + dt * k3, v4)
+        F2 = F4 = F1 if frozen else None
+        k2, _, F2 = rhs(t + dt / 2, xi + (dt / 2) * k1, v2, F2)
+        k3, _, _ = rhs(t + dt / 2, xi + (dt / 2) * k2, v2, F2)
+        k4, _, _ = rhs(t + dt, xi + dt * k3, v4, F4)
         return u1, xi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     return step

@@ -21,7 +21,9 @@ Two synthesizers are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -235,6 +237,54 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
 # the per-state algorithm
 # ---------------------------------------------------------------------------
 
+# The solve stage calls LAPACK the way scipy.linalg's lstsq (gelsd), svd
+# (gesdd) and pivoted qr (geqp3, orgqr) do, with the same workspace sizes,
+# but without their per-call checks, which at these sizes cost about as
+# much as the factorizations.
+_gelsd, _gelsd_lwork, _gesdd, _gesdd_lwork, _geqp3, _orgqr = scipy.linalg.get_lapack_funcs(
+    ("gelsd", "gelsd_lwork", "gesdd", "gesdd_lwork", "geqp3", "orgqr"), dtype=np.float64)
+
+
+def _lapack(routine, *args, **kwargs):
+    """`routine`'s outputs without its trailing info flag, raised on if set."""
+    *out, info = routine(*args, **kwargs)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} failed (info = {info})")
+    return out
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray, cond: float) -> np.ndarray:
+    """Minimum-norm least-squares solution of a x = b, singular values below
+    `cond` times the largest taken as zero."""
+    m, n = a.shape
+    work, iwork = _lapack(_gelsd_lwork, m, n, b.shape[1], cond)
+    rhs = np.zeros((max(m, n), b.shape[1]))
+    rhs[:m] = b
+    return _lapack(_gelsd, a, rhs, int(work), iwork, cond)[0][:n]
+
+
+def _svd(a: np.ndarray, compute_uv: bool = True):
+    """(left singular vectors, singular values) of the thin SVD, or the
+    singular values alone."""
+    m, n = a.shape
+    lwork = int(_lapack(_gesdd_lwork, m, n, compute_uv, False)[0])
+    u, s, _ = _lapack(_gesdd, a, compute_uv, False, lwork)
+    return (u, s) if compute_uv else s
+
+
+def _pivoted_qr(a: np.ndarray):
+    """Column-pivoted QR: (packed factors, 0-based pivots, reflector scales)."""
+    lwork = int(_lapack(_geqp3, a, -1)[3][0])
+    qr, jpvt, tau, _ = _lapack(_geqp3, a, lwork)
+    return qr, jpvt - 1, tau
+
+
+def _orthonormal_columns(qr: np.ndarray, tau: np.ndarray, k: int) -> np.ndarray:
+    """The first `k` columns of the Q of a packed QR factorization."""
+    lwork = int(_lapack(_orgqr, qr[:, :k], tau[:k], -1)[1][0])
+    return _lapack(_orgqr, qr[:, :k], tau[:k], lwork)[0]
+
+
 class FeedbackSynthesizer:
     """Reusable workspace for per-state feedback synthesis.
 
@@ -269,7 +319,7 @@ class FeedbackSynthesizer:
         k0 = self.drift @ xi
         k0r = np.concatenate([k0.real, k0.imag])
 
-        scale = float(np.linalg.norm(X, axis=1).max(initial=0.0))
+        scale = math.sqrt((X * X).sum(axis=1).max())      # the largest field norm
         if scale == 0.0:
             raise ValueError("all candidate fields vanish at this state")
         threshold = tol * scale
@@ -278,7 +328,7 @@ class FeedbackSynthesizer:
         # its residual against the fields accepted before it clears the
         # cutoff, by the accept/reject rule the commutator closure uses
         span = _IncrementalSpan(X.shape[1], float)
-        rdiag = np.array([span.add(x, threshold) for x in X])
+        rdiag = np.fromiter(map(span.add, X, repeat(threshold)), float, count=X.shape[0])
         accepted = rdiag > threshold
 
         sel_delta = np.nonzero(accepted[:nd])[0]
@@ -302,28 +352,22 @@ class FeedbackSynthesizer:
                     f"rank estimation instability: residuals straddle the cutoff "
                     f"within factor {gap:.2f}")
 
-        Dl = X[:nd]
-        Cl = X[nd:nd + ncp]
         Gl = X[nd + ncp:]
-        V_delta = Dl[sel_delta]
-        V_comp = Cl[sel_comp]
+        V_delta = X[:nd][sel_delta]
+        V_comp = X[nd:nd + ncp][sel_comp]
         V_gc = Gl[sel_g]
 
         # steps 1 and 3 share one coefficient matrix: [G, -V_delta, -V_gcomp];
         # one batched minimum-norm least-squares solve covers all targets
         A = np.concatenate([Gl, -V_delta, -V_gc], axis=0).T
-        targets = np.concatenate([V_comp[:q], -k0r[None, :]], axis=0).T
-        sol, _, _, _ = scipy.linalg.lstsq(A, targets, cond=tol,
-                                          lapack_driver="gelsd",
-                                          check_finite=False)
+        targets = np.concatenate([V_comp, -k0r[None, :]], axis=0).T
+        sol = _lstsq(A, targets, tol)
         fit = A @ sol - targets
         beta = np.zeros((nc, nc))
-        residuals: list[float] = []
-        for i in range(q):
-            beta[:, i] = sol[:nc, i]
-            residuals.append(float(np.linalg.norm(fit[:, i])))
+        beta[:, :q] = sol[:nc, :q]
         alpha = sol[:nc, q]
-        residuals.append(float(np.linalg.norm(fit[:, q])))
+        # np.linalg.norm of each column, taken on contiguous copies as it does
+        residuals = [math.sqrt(c.dot(c)) for c in np.ascontiguousarray(fit.T)]
 
         # completion: null space of [G, V].  Candidates are the projections
         # of the bare channel directions onto the null space (the projector
@@ -331,33 +375,30 @@ class FeedbackSynthesizer:
         # parts are picked greedily for independence from the step-1 columns
         # by one pivoted QR (pivot order = greedy largest-residual selection)
         Mt = np.concatenate([Gl, V_delta, V_comp, V_gc], axis=0)  # (nc + r, 2n)
-        u_m, s_m, _ = scipy.linalg.svd(Mt, full_matrices=False, check_finite=False,
-                                       lapack_driver="gesdd")
+        u_m, s_m = _svd(Mt)
         rank_m = _numerical_rank(s_m, tol)
         u_beta = u_m[:nc, :rank_m]                  # row-space basis, beta block
         cand = np.eye(nc) - u_beta @ u_beta.T       # beta part of P_null e_j
 
+        # one pivoted QR of the step-1 columns gives both their numerical
+        # rank and an orthonormal basis of the columns it keeps
         fixed = beta[:, :q]
-        _, Rf, pivf = scipy.linalg.qr(fixed, mode="economic", pivoting=True,
-                                      check_finite=False)
-        rf = np.abs(np.diag(Rf))
+        qr_f, _, tau_f = _pivoted_qr(fixed)
+        rf = np.abs(np.diagonal(qr_f))
         # the floor keeps pure-noise step-1 columns (unreachable targets)
         # from polluting the completion basis
-        fixed_rank = int((rf > tol * max(rf[0], 1.0)).sum()) if rf.size else 0
-        Qb = np.linalg.qr(fixed[:, sorted(pivf[:fixed_rank])])[0] \
-            if fixed_rank else np.zeros((nc, 0))
+        fixed_rank = int((rf > tol * max(rf[0], 1.0)).sum())
+        if fixed_rank:
+            Qb = _orthonormal_columns(qr_f, tau_f, fixed_rank)
+            proj = cand - Qb @ (Qb.T @ cand)
+        else:
+            proj = cand
+        qr_p, piv, _ = _pivoted_qr(proj)
+        rp = np.abs(np.diagonal(qr_p))
+        take = piv[:nc - q][rp[:nc - q] > tol]
+        beta[:, q:q + take.size] = cand[:, take]
 
-        proj = cand - Qb @ (Qb.T @ cand) if Qb.shape[1] else cand
-        _, Rp, piv = scipy.linalg.qr(proj, mode="economic", pivoting=True,
-                                     check_finite=False)
-        rp = np.abs(np.diag(Rp))
-        take = [int(piv[j]) for j in range(min(len(piv), nc - q))
-                if j < rp.size and rp[j] > tol]
-        for j, c_idx in enumerate(take):
-            beta[:, q + j] = cand[:, c_idx]
-
-        s_beta = scipy.linalg.svd(beta, compute_uv=False, check_finite=False)
-        beta_rank = _numerical_rank(s_beta, tol)
+        beta_rank = _numerical_rank(_svd(beta, compute_uv=False), tol)
 
         return ControlLawSample(
             state=xi.copy(),

@@ -150,6 +150,28 @@ def test_model_params_rejected_before_running(tmp_path, capsys):
     assert not (tmp_path / "dfs_2q.txt").exists()
 
 
+def test_dfs_qubit_range_rejected_before_running(tmp_path, capsys):
+    code = run_command(["dfs", "--qubits", "5", "--output-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == "config error: n_qubits must be within [1, 4], got 5\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_n_sys_rejected_before_running(tmp_path, capsys):
+    cfg = tmp_path / "cavity.ini"
+    cfg.write_text("[model]\nn_sys = 2\n")
+    out_dir = tmp_path / "out"
+    code = run_command(["--config", str(cfg), "check", "--model", "electro_optic",
+                        "--output-dir", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == "config error: n_sys must be >= 3, got 2\n"
+    assert out == ""
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from qdecouple import (
     propagate_piecewise_exact,
     write_trajectory_csv,
 )
+from qdecouple.synthesis import ProtectiveSynthesizer
 from conftest import random_state
 
 
@@ -262,6 +263,89 @@ def test_piecewise_drive_is_frozen_per_step(restructured_model, mode):
     head = run(m, ControlSchedule.constant(first), xi0, 0.1, 1e-3)
     tail = run(m, ControlSchedule.constant(second), head.states[-1], 0.1, 1e-3)
     assert np.abs(whole.states[-1] - tail.states[-1]).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the RK4 rule against a reference that forms the control field every stage
+# ---------------------------------------------------------------------------
+
+def _reference_rk4_states(model, schedule, xi0, t_end, dt, control=None):
+    """States of the classical RK4 rule with `np.tensordot(u, ctrl, axes=1)`
+    formed at every stage, as the integrator did before it shared the
+    control field between stages with the same drive value."""
+    static = model.drift.matrix + model.interaction.matrix
+    ctrl = np.stack([op.matrix for op in model.controls])
+    frozen = schedule.kind in ("constant", "piecewise_constant")
+
+    def rhs(t, state, v):
+        u = v if control is None else control(t, state, v)
+        return static @ state + np.tensordot(u, ctrl, axes=1) @ state
+
+    xi = np.asarray(xi0, dtype=complex)
+    states = [xi]
+    for k in range(int(round(t_end / dt))):
+        t = k * dt
+        v1 = schedule(t)
+        v2, v4 = (v1, v1) if frozen else (schedule(t + dt / 2), schedule(t + dt))
+        k1 = rhs(t, xi, v1)
+        k2 = rhs(t + dt / 2, xi + (dt / 2) * k1, v2)
+        k3 = rhs(t + dt / 2, xi + (dt / 2) * k2, v2)
+        k4 = rhs(t + dt, xi + dt * k3, v4)
+        xi = xi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(xi)
+    return np.array(states)
+
+
+def _drives():
+    first, second = np.zeros(24), np.zeros(24)
+    first[[0, 3, 6, 9]] = 1.0
+    second[[1, 4, 7, 10]] = 0.5
+    return {
+        "constant": ControlSchedule.constant(first),
+        "piecewise_constant": ControlSchedule.piecewise_constant([0.05, 0.1234],
+                                                                 [first, second, -first]),
+        "sinusoidal": ControlSchedule.sinusoidal(first + second, np.linspace(1.0, 3.0, 24),
+                                                 np.linspace(0.0, np.pi, 24)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["constant", "piecewise_constant", "sinusoidal"])
+def test_open_loop_rk4_matches_per_stage_field(restructured_model, kind):
+    m = restructured_model
+    xi0 = random_state(np.random.default_rng(11), m.dim)
+    schedule = _drives()[kind]
+    traj = integrate_open_loop(m, schedule, xi0, t_end=0.2, dt=1e-3)
+    assert np.array_equal(traj.states, _reference_rk4_states(m, schedule, xi0, 0.2, 1e-3))
+
+
+@pytest.mark.parametrize("kind", ["constant", "sinusoidal"])
+def test_protective_closed_loop_rk4_matches_per_stage_field(restructured_model, kind):
+    m = restructured_model
+    xi0 = random_state(np.random.default_rng(12), m.dim)
+    schedule = _drives()[kind]
+    synth = ProtectiveSynthesizer(m)
+
+    def control(t, state, v):
+        s = synth.sample(state)
+        return s.alpha + s.beta @ v
+
+    traj = integrate_closed_loop(m, schedule, xi0, t_end=0.05, dt=1e-3,
+                                 feedback="protective")
+    assert np.array_equal(traj.states,
+                          _reference_rk4_states(m, schedule, xi0, 0.05, 1e-3, control))
+
+
+def test_rk4_runs_do_not_call_tensordot(restructured_model, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.tensordot called in an RK4 run")
+
+    monkeypatch.setattr(np, "tensordot", forbidden)
+    m = restructured_model
+    xi0 = random_state(np.random.default_rng(13), m.dim)
+    for schedule in _drives().values():
+        integrate_open_loop(m, schedule, xi0, t_end=0.01, dt=1e-3)
+        integrate_closed_loop(m, schedule, xi0, t_end=0.01, dt=1e-3, feedback="protective")
+        integrate_closed_loop(m, schedule, xi0, t_end=0.002, dt=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from qdecouple import (
     verify_synthesis,
 )
 from qdecouple import synthesis
+from qdecouple.operators import _IncrementalSpan, _numerical_rank
 from qdecouple.synthesis import FeedbackSynthesizer, ProtectiveSynthesizer
 from conftest import random_state
 
@@ -358,3 +359,133 @@ def test_selection_matches_previous_loop_on_pinned_corpus(restructured_model, mo
         warned += sum(bool(a.warnings) for a in new)
     # the corpus reaches the rank-straddle warning, so its text is compared too
     assert warned >= 1
+
+
+def _previous_sample(self, xi):
+    """`FeedbackSynthesizer.sample` as it was before its solve stage called
+    LAPACK directly and took the completion basis from the pivoted QR of the
+    step-1 columns: scipy.linalg lstsq, svd and qr and numpy qr, verbatim."""
+    xi = np.asarray(xi, dtype=complex).ravel()
+    tol = self.tol
+    nc = self.n_ctrl
+    nd, ncp = self.n_delta, self.n_comp
+
+    vecs = self.all_gen @ xi
+    X = np.concatenate([vecs.real, vecs.imag], axis=1)       # rows are fields
+    k0 = self.drift @ xi
+    k0r = np.concatenate([k0.real, k0.imag])
+
+    scale = float(np.linalg.norm(X, axis=1).max(initial=0.0))
+    if scale == 0.0:
+        raise ValueError("all candidate fields vanish at this state")
+    threshold = tol * scale
+
+    # in-order greedy independence selection: a field is accepted when
+    # its residual against the fields accepted before it clears the
+    # cutoff, by the accept/reject rule the commutator closure uses
+    span = _IncrementalSpan(X.shape[1], float)
+    rdiag = np.array([span.add(x, threshold) for x in X])
+    accepted = rdiag > threshold
+
+    sel_delta = np.nonzero(accepted[:nd])[0]
+    sel_comp = np.nonzero(accepted[nd:nd + ncp])[0]
+    sel_g = np.nonzero(accepted[nd + ncp:])[0]
+    K = len(sel_delta)
+    q = len(sel_comp)
+    if q == 0:
+        raise DegenerateStateError(
+            "no complement direction extends the invariant span at this "
+            f"state (K = {K}); the feedback construction is undefined here",
+            K=K)
+    r_total = K + q + len(sel_g)
+
+    warnings: list[str] = []
+    rej = rdiag[~accepted]
+    if accepted.any() and rej.size:
+        gap = rdiag[accepted].min() / max(rej.max(), 1e-300)
+        if gap < 10.0:
+            warnings.append(
+                f"rank estimation instability: residuals straddle the cutoff "
+                f"within factor {gap:.2f}")
+
+    Dl = X[:nd]
+    Cl = X[nd:nd + ncp]
+    Gl = X[nd + ncp:]
+    V_delta = Dl[sel_delta]
+    V_comp = Cl[sel_comp]
+    V_gc = Gl[sel_g]
+
+    # steps 1 and 3 share one coefficient matrix: [G, -V_delta, -V_gcomp];
+    # one batched minimum-norm least-squares solve covers all targets
+    A = np.concatenate([Gl, -V_delta, -V_gc], axis=0).T
+    targets = np.concatenate([V_comp[:q], -k0r[None, :]], axis=0).T
+    sol, _, _, _ = scipy.linalg.lstsq(A, targets, cond=tol,
+                                      lapack_driver="gelsd",
+                                      check_finite=False)
+    fit = A @ sol - targets
+    beta = np.zeros((nc, nc))
+    residuals: list[float] = []
+    for i in range(q):
+        beta[:, i] = sol[:nc, i]
+        residuals.append(float(np.linalg.norm(fit[:, i])))
+    alpha = sol[:nc, q]
+    residuals.append(float(np.linalg.norm(fit[:, q])))
+
+    # completion: null space of [G, V].  Candidates are the projections
+    # of the bare channel directions onto the null space (the projector
+    # is canonical, so the completion inherits phase invariance); beta
+    # parts are picked greedily for independence from the step-1 columns
+    # by one pivoted QR (pivot order = greedy largest-residual selection)
+    Mt = np.concatenate([Gl, V_delta, V_comp, V_gc], axis=0)  # (nc + r, 2n)
+    u_m, s_m, _ = scipy.linalg.svd(Mt, full_matrices=False, check_finite=False,
+                                   lapack_driver="gesdd")
+    rank_m = _numerical_rank(s_m, tol)
+    u_beta = u_m[:nc, :rank_m]                  # row-space basis, beta block
+    cand = np.eye(nc) - u_beta @ u_beta.T       # beta part of P_null e_j
+
+    fixed = beta[:, :q]
+    _, Rf, pivf = scipy.linalg.qr(fixed, mode="economic", pivoting=True,
+                                  check_finite=False)
+    rf = np.abs(np.diag(Rf))
+    # the floor keeps pure-noise step-1 columns (unreachable targets)
+    # from polluting the completion basis
+    fixed_rank = int((rf > tol * max(rf[0], 1.0)).sum()) if rf.size else 0
+    Qb = np.linalg.qr(fixed[:, sorted(pivf[:fixed_rank])])[0] \
+        if fixed_rank else np.zeros((nc, 0))
+
+    proj = cand - Qb @ (Qb.T @ cand) if Qb.shape[1] else cand
+    _, Rp, piv = scipy.linalg.qr(proj, mode="economic", pivoting=True,
+                                 check_finite=False)
+    rp = np.abs(np.diag(Rp))
+    take = [int(piv[j]) for j in range(min(len(piv), nc - q))
+            if j < rp.size and rp[j] > tol]
+    for j, c_idx in enumerate(take):
+        beta[:, q + j] = cand[:, c_idx]
+
+    s_beta = scipy.linalg.svd(beta, compute_uv=False, check_finite=False)
+    beta_rank = _numerical_rank(s_beta, tol)
+
+    return ControlLawSample(
+        state=xi.copy(),
+        alpha=alpha,
+        beta=beta,
+        ranks=(K, q, r_total),
+        residuals=tuple(residuals),
+        beta_rank=beta_rank,
+        warnings=tuple(warnings),
+    )
+
+
+def test_solve_stage_matches_previous_on_pinned_corpus(restructured_model):
+    m = restructured_model
+    states = _pinned_corpus(m)
+    for lift in (False, True):
+        synth = FeedbackSynthesizer(m, build_invariant_basis(m, lift_complement=lift))
+        for xi in states:
+            a, b = synth.sample(xi), _previous_sample(synth, xi)
+            assert a.ranks == b.ranks
+            assert a.beta_rank == b.beta_rank
+            assert a.warnings == b.warnings
+            assert a.residuals == b.residuals
+            assert np.array_equal(a.alpha, b.alpha)
+            assert np.array_equal(a.beta, b.beta)
