@@ -25,18 +25,17 @@ from .operators import (
     time_derivative,
 )
 from .invariance import (
+    Decision,
     InvarianceReport,
     OperatorDistribution,
     check_controller_necessary,
     check_open_loop_invariance,
+    decide,
     find_dfs_coherences,
     generate_ctilde,
 )
 from .geometry import (
-    DecouplabilityReport,
     LinearVectorField,
-    check_controlled_decouplable,
-    check_open_loop_geometric,
     closure_under_brackets,
     kernel_dy_member,
     vf_bracket,

@@ -24,16 +24,8 @@ from typing import Optional
 import numpy as np
 
 from . import models as _models
-from .invariance import (
-    _check_dfs_qubits,
-    check_controller_necessary,
-    check_open_loop_invariance,
-    find_dfs_coherences,
-    generate_ctilde,
-)
-from .geometry import kernel_dy_member
+from .invariance import _check_dfs_qubits, decide, find_dfs_coherences
 from .models import ModelParams, _check_n_sys
-from .operators import Span, commutator
 from .simulator import (
     ControlSchedule,
     NormGuardError,
@@ -43,6 +35,7 @@ from .simulator import (
     preset_state,
     write_trajectory_csv,
     _atomic_write,
+    _grid_size,
 )
 from .synthesis import (
     DegenerateStateError,
@@ -188,6 +181,7 @@ def _validate(cfg: RunConfig, n_qubits: Optional[int] = None):
     try:
         cfg.params()
         _check_n_sys(cfg.n_sys)
+        _grid_size(cfg.t_end, cfg.dt)
         if n_qubits is not None:
             _check_dfs_qubits(n_qubits)
     except ValueError as exc:
@@ -301,51 +295,33 @@ class _Report:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_check(cfg: RunConfig) -> int:
-    model = _build_model(cfg)
-    rep = _Report(cfg, f"check {cfg.model}")
-    tol = cfg.tol_invariance
+# Decision.verdict -> (exit code, VERDICT line)
+_VERDICTS = {
+    "invariant": (0, "INVARIANT (open loop, immune without controls)"),
+    "decouplable": (0, "DECOUPLABLE (controlled sufficiency conditions hold)"),
+    "not_decouplable": (2, "NOT DECOUPLABLE"),
+    "necessary_failed": (2, "NOT DECOUPLABLE: [C, H_SE] != 0 or closure escapes"),
+    "necessary_passed_sufficient_failed":
+        (2, "NOT OPEN-LOOP INVARIANT; controller necessary conditions hold"),
+}
 
-    C = model.coherence_op
-    dist = generate_ctilde(C, model.drift, list(model.controls), tol=cfg.tol_rank)
+
+def _cmd_check(cfg: RunConfig) -> int:
+    decision = decide(_build_model(cfg), cfg.tol_rank, cfg.tol_invariance)
+    rep = _Report(cfg, f"check {cfg.model}")
+    dist = decision.closure
     rep.add(f"closure: rank={dist.rank} depth={dist.depth_reached} "
             f"converged={dist.converged}")
-
-    open_loop = check_open_loop_invariance(dist, model.interaction, tol)
-    rep.add(f"open-loop invariance: {open_loop.verdict}")
-    necessary = check_controller_necessary(C, dist, model.interaction, tol)
-    rep.add(f"controller necessity: {necessary.verdict}")
-
-    ker = kernel_dy_member(model.interaction_field(), C, max(tol, 1e-10))
-    rep.add(f"interaction field in ker(dy): {ker.member} "
-            f"(relative witness norm {ker.residual:.3e})")
-
-    exit_code = 2
-    if cfg.model == "restructured":
-        gens = list(model.controls)
-        span = Span(gens, cfg.tol_rank)
-        worst = 0.0
-        for g_op in gens:
-            br = commutator(g_op, model.interaction)
-            m = span.membership(br)
-            worst = max(worst, m.residual_norm / max(br.norm(), 1e-300))
-        closes = worst <= tol
+    rep.add(f"open-loop invariance: {decision.open_loop.verdict}")
+    rep.add(f"controller necessity: {decision.necessary.verdict}")
+    rep.add(f"interaction field in ker(dy): {decision.kernel.member} "
+            f"(relative witness norm {decision.kernel.residual:.3e})")
+    if decision.brackets_close is not None:
         rep.add(f"control brackets with interaction close into the control span: "
-                f"{closes} (worst relative residual {worst:.3e})")
-        if closes and ker.member and necessary.verdict != "necessary_failed":
-            rep.add("VERDICT: DECOUPLABLE (controlled sufficiency conditions hold)")
-            exit_code = 0
-        else:
-            rep.add("VERDICT: NOT DECOUPLABLE")
-    elif open_loop.verdict == "invariant":
-        rep.add("VERDICT: INVARIANT (open loop, immune without controls)")
-        exit_code = 0
-    elif necessary.verdict == "necessary_failed":
-        rep.add("VERDICT: NOT DECOUPLABLE: [C, H_SE] != 0 or closure escapes")
-    else:
-        rep.add("VERDICT: NOT OPEN-LOOP INVARIANT; controller necessary conditions "
-                f"{'hold' if necessary.verdict != 'necessary_failed' else 'fail'}")
-
+                f"{decision.brackets_close} (worst relative residual "
+                f"{decision.bracket_residual:.3e})")
+    exit_code, line = _VERDICTS[decision.verdict]
+    rep.add(f"VERDICT: {line}")
     rep.write(f"check_{cfg.model}.txt")
     return exit_code
 

@@ -4,7 +4,8 @@ Builds the commutator closure of a coherence operator under drift and
 control generators, tests whether the resulting family commutes with the
 system-environment interaction (open-loop immunity), tests the weaker
 necessary conditions for an active controller to help, and enumerates the
-coherence operators a collective-dephasing register preserves.
+coherence operators a collective-dephasing register preserves.  `decide`
+runs these checks on one model and returns its decouplability verdict.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .models import ModelParams, _coherence, _collective_dephasing
+from .geometry import KernelMembership, kernel_dy_member
+from .models import ModelParams, SystemModel, _coherence, _collective_dephasing
 from .operators import (
     Operator,
     OperatorLike,
@@ -30,6 +32,8 @@ __all__ = [
     "generate_ctilde",
     "check_open_loop_invariance",
     "check_controller_necessary",
+    "Decision",
+    "decide",
     "find_dfs_coherences",
 ]
 
@@ -148,6 +152,48 @@ def check_controller_necessary(C: OperatorLike, dist: OperatorDistribution,
     if sufficient:
         return InvarianceReport("invariant", None, tuple(residuals))
     return InvarianceReport("necessary_passed_sufficient_failed", None, tuple(residuals))
+
+
+@dataclass(frozen=True)
+class Decision:
+    """The decouplability verdict of one model and the checks it rests on:
+    invariant or decouplable (the positive ones), not_decouplable,
+    necessary_failed or necessary_passed_sufficient_failed.  Criterion 4's
+    worst relative residual of [g, H_SE] against span(G), and whether it is
+    within tolerance, are set for the restructured model only."""
+
+    verdict: str
+    closure: OperatorDistribution
+    open_loop: InvarianceReport
+    necessary: InvarianceReport
+    kernel: KernelMembership
+    brackets_close: Optional[bool] = None
+    bracket_residual: Optional[float] = None
+
+
+def decide(model: SystemModel, tol_rank: float = DEFAULT_TOL,
+           tol_invariance: float = DEFAULT_TOL) -> Decision:
+    """Closure, open-loop, necessity and ker(dy) checks of the coherence, and
+    criterion 4 for the restructured model; spans are built at `tol_rank` and
+    every check decides at `tol_invariance` (ker(dy) at no less than 1e-10)."""
+    C = model.coherence_op
+    dist = generate_ctilde(C, model.drift, list(model.controls), tol=tol_rank)
+    open_loop = check_open_loop_invariance(dist, model.interaction, tol_invariance)
+    necessary = check_controller_necessary(C, dist, model.interaction, tol_invariance)
+    kernel = kernel_dy_member(model.interaction_field(), C, max(tol_invariance, 1e-10))
+    # both checks test the same commutators at the same cutoff, so a closure
+    # that is not invariant in open loop is not invariant for `necessary`
+    verdict = "invariant" if open_loop.verdict == "invariant" else necessary.verdict
+    closes = worst = None
+    if model.name == "restructured":
+        span = Span(list(model.controls), tol_rank)
+        brackets = [commutator(g, model.interaction) for g in model.controls]
+        worst = max(span.membership(b).residual_norm / max(b.norm(), 1e-300)
+                    for b in brackets)
+        closes = worst <= tol_invariance
+        passed = closes and kernel.member and necessary.verdict != "necessary_failed"
+        verdict = "decouplable" if passed else "not_decouplable"
+    return Decision(verdict, dist, open_loop, necessary, kernel, closes, worst)
 
 
 def _check_dfs_qubits(n_qubits: int):

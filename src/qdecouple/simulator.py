@@ -199,10 +199,16 @@ def _points(model: SystemModel, schedule: ControlSchedule, xi0: np.ndarray,
 
 
 def _grid_size(t_end: float, dt: float) -> int:
-    """Number of points of the time grid 0, dt, ..., t_end."""
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
-    return int(round(t_end / dt)) + 1
+    """Number of points of the time grid 0, dt, ..., t_end; t_end must be a
+    whole number (at least 1) of steps dt, within 1e-9 relative."""
+    if not (0 < dt < np.inf and 0 < t_end < np.inf):
+        raise ValueError("dt and t_end must be finite and positive")
+    ratio = t_end / dt
+    steps = round(ratio) if np.isfinite(ratio) else 0
+    if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
+        raise ValueError(f"t_end must be a whole number of steps dt, "
+                         f"got t_end={t_end:g}, dt={dt:g}")
+    return steps + 1
 
 
 def _propagate(model: SystemModel, t_end: float, dt: float, mode: str,

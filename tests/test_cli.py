@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -172,6 +173,18 @@ def test_config_n_sys_rejected_before_running(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_off_grid_t_end_rejected_before_running(tmp_path, capsys):
+    # 0.0015 is not a whole number of steps of 1e-3; the run would end at 0.002
+    code = run_command(["simulate", "--model", "two_qubit", "--t-end", "0.0015",
+                        "--output-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == ("config error: t_end must be a whole number of steps dt, "
+                   "got t_end=0.0015, dt=0.001\n")
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -302,6 +315,142 @@ def test_check_restructured_bracket_line_uses_invariance_tolerance(tmp_path, cap
     assert code == 2
     assert "close into the control span: False" in out
     assert "VERDICT: NOT DECOUPLABLE" in out
+
+
+# ---------------------------------------------------------------------------
+# check reports, pinned line by line
+# ---------------------------------------------------------------------------
+
+_BRACKETS = "control brackets with interaction close into the control span: "
+
+CHECK_REPORTS = [
+    pytest.param(["--model", "one_qubit"], 2, [
+        "schema-version: 1",
+        "report: check one_qubit",
+        "tolerances: rank=1e-09 invariance=1e-09 decoupling=0.0001",
+        "closure: rank=3 depth=3 converged=True",
+        "open-loop invariance: not_invariant",
+        "controller necessity: necessary_failed",
+        "interaction field in ker(dy): False (relative witness norm 8.165e-01)",
+        "VERDICT: NOT DECOUPLABLE: [C, H_SE] != 0 or closure escapes",
+    ], id="one_qubit"),
+    pytest.param(["--model", "two_qubit"], 2, [
+        "schema-version: 1",
+        "report: check two_qubit",
+        "tolerances: rank=1e-09 invariance=1e-09 decoupling=0.0001",
+        "closure: rank=9 depth=5 converged=True",
+        "open-loop invariance: not_invariant",
+        "controller necessity: necessary_failed",
+        "interaction field in ker(dy): True (relative witness norm 0.000e+00)",
+        "VERDICT: NOT DECOUPLABLE: [C, H_SE] != 0 or closure escapes",
+    ], id="two_qubit"),
+    pytest.param(["--model", "restructured"], 0, [
+        "schema-version: 1",
+        "report: check restructured",
+        "tolerances: rank=1e-09 invariance=1e-09 decoupling=0.0001",
+        "closure: rank=143 depth=7 converged=True",
+        "open-loop invariance: not_invariant",
+        "controller necessity: necessary_passed_sufficient_failed",
+        "interaction field in ker(dy): True (relative witness norm 0.000e+00)",
+        _BRACKETS + "True (worst relative residual 2.915e-15)",
+        "VERDICT: DECOUPLABLE (controlled sufficiency conditions hold)",
+    ], id="restructured"),
+    pytest.param(["--model", "electro_optic"], 2, [
+        "schema-version: 1",
+        "report: check electro_optic",
+        "tolerances: rank=1e-09 invariance=1e-09 decoupling=0.0001",
+        "closure: rank=89 depth=12 converged=False",
+        "open-loop invariance: not_invariant",
+        "controller necessity: necessary_failed",
+        "interaction field in ker(dy): False (relative witness norm 8.607e-02)",
+        "VERDICT: NOT DECOUPLABLE: [C, H_SE] != 0 or closure escapes",
+    ], id="electro_optic"),
+    pytest.param(["--model", "ancilla", "--env-levels", "2"], 2, [
+        "schema-version: 1",
+        "report: check ancilla",
+        "tolerances: rank=1e-09 invariance=1e-09 decoupling=0.0001",
+        "closure: rank=252 depth=12 converged=False",
+        "open-loop invariance: not_invariant",
+        "controller necessity: necessary_failed",
+        "interaction field in ker(dy): True (relative witness norm 0.000e+00)",
+        "VERDICT: NOT DECOUPLABLE: [C, H_SE] != 0 or closure escapes",
+    ], id="ancilla-env2"),
+    pytest.param(["--model", "restructured", "--env-levels", "2"], 0, [
+        "schema-version: 1",
+        "report: check restructured",
+        "tolerances: rank=1e-09 invariance=1e-09 decoupling=0.0001",
+        "closure: rank=63 depth=7 converged=True",
+        "open-loop invariance: not_invariant",
+        "controller necessity: necessary_passed_sufficient_failed",
+        "interaction field in ker(dy): True (relative witness norm 0.000e+00)",
+        _BRACKETS + "True (worst relative residual 5.413e-15)",
+        "VERDICT: DECOUPLABLE (controlled sufficiency conditions hold)",
+    ], id="restructured-env2"),
+    pytest.param(["--model", "restructured", "--env-levels", "4"], 2, [
+        "schema-version: 1",
+        "report: check restructured",
+        "tolerances: rank=1e-09 invariance=1e-09 decoupling=0.0001",
+        "closure: rank=255 depth=7 converged=True",
+        "open-loop invariance: not_invariant",
+        "controller necessity: necessary_passed_sufficient_failed",
+        "interaction field in ker(dy): True (relative witness norm 0.000e+00)",
+        _BRACKETS + "False (worst relative residual 2.722e-01)",
+        "VERDICT: NOT DECOUPLABLE",
+    ], id="restructured-env4"),
+    pytest.param(["--model", "restructured", "--env-levels", "5"], 2, [
+        "schema-version: 1",
+        "report: check restructured",
+        "tolerances: rank=1e-09 invariance=1e-09 decoupling=0.0001",
+        "closure: rank=399 depth=7 converged=True",
+        "open-loop invariance: not_invariant",
+        "controller necessity: necessary_passed_sufficient_failed",
+        "interaction field in ker(dy): True (relative witness norm 0.000e+00)",
+        _BRACKETS + "False (worst relative residual 3.303e-01)",
+        "VERDICT: NOT DECOUPLABLE",
+    ], id="restructured-env5"),
+    pytest.param(["--model", "restructured", "--tolerance-invariance", "1e-16"], 2, [
+        "schema-version: 1",
+        "report: check restructured",
+        "tolerances: rank=1e-09 invariance=1e-16 decoupling=0.0001",
+        "closure: rank=143 depth=7 converged=True",
+        "open-loop invariance: not_invariant",
+        "controller necessity: necessary_failed",
+        "interaction field in ker(dy): True (relative witness norm 0.000e+00)",
+        _BRACKETS + "False (worst relative residual 2.915e-15)",
+        "VERDICT: NOT DECOUPLABLE",
+    ], id="restructured-tol1e-16"),
+]
+# a residual figure at the end of a report line, and the line's cutoff as a
+# function of the invariance tolerance
+_FIGURE = re.compile(r"^(.*\((?:relative witness norm|worst relative residual) )(\S+)\)$")
+
+
+def _cutoff(line, tol_invariance):
+    return max(tol_invariance, 1e-10) if "ker(dy)" in line else tol_invariance
+
+
+@pytest.mark.parametrize("argv,exit_code,expected", CHECK_REPORTS)
+def test_check_report_lines(tmp_path, capsys, argv, exit_code, expected):
+    # every report line byte for byte, except that a printed residual only
+    # has to fall on the same side of its cutoff, so that another BLAS build
+    # may round it differently; stdout echoes the report after its header
+    code = run_command(["check", *argv, "--output-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == exit_code
+    report = (tmp_path / f"check_{argv[1]}.txt").read_text()
+    lines = report.splitlines()
+    assert report == "\n".join(lines) + "\n"
+    assert out == "\n".join(lines[3:]) + "\n"
+    assert len(lines) == len(expected)
+    tol = float(re.search(r"invariance=(\S+)", expected[2]).group(1))
+    for got, want in zip(lines, expected):
+        got_m, want_m = _FIGURE.match(got), _FIGURE.match(want)
+        if want_m is None:
+            assert got == want
+            continue
+        assert got_m is not None and got_m.group(1) == want_m.group(1)
+        cutoff = _cutoff(want, tol)
+        assert (float(got_m.group(2)) <= cutoff) == (float(want_m.group(2)) <= cutoff)
 
 
 def _run_into_closed_stdout(tmp_path, argv, unbuffered):

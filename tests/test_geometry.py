@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,9 @@ from qdecouple import (
     LinearVectorField,
     Operator,
     build_one_qubit,
-    check_controlled_decouplable,
-    check_open_loop_geometric,
     closure_under_brackets,
     commutator,
+    decide,
     generate_ctilde,
     kernel_dy_member,
     make_primitive,
@@ -119,28 +120,16 @@ def test_kernel_lie_derivative_vanishes_at_states(two_qubit_model, rng):
 
 
 # ---------------------------------------------------------------------------
-# open-loop geometric check
+# open-loop verdicts
 # ---------------------------------------------------------------------------
 
 def test_open_loop_fails_on_control_bracket(two_qubit_model):
-    m = two_qubit_model
-    report = check_open_loop_geometric(
-        [m.interaction_field()], [m.drift_field()] + m.control_fields(),
-        m.coherence_op, m.interaction_field())
-    assert report.k_i_in_ker_dy
-    assert not report.open_loop_ok
-    assert report.failing_bracket is not None
-
-
-def test_open_loop_passes_when_drift_commutes(rng):
-    d = 4
-    gen = Operator(-1j * np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex),
-                   "skew_hermitian")
-    drift = Operator(-2j * np.eye(d, dtype=complex), "skew_hermitian")
-    C = Operator(np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex))
-    KI = _field(gen, "K_I")
-    report = check_open_loop_geometric([KI], [_field(drift, "K0")], C, KI)
-    assert report.open_loop_ok
+    # K_I lies in ker(dy), but the control brackets kick the closure out of
+    # the interaction's commutant
+    decision = decide(two_qubit_model)
+    assert decision.kernel.member
+    assert decision.open_loop.verdict == "not_invariant"
+    assert decision.open_loop.witness is not None
 
 
 def test_open_loop_collective_dephasing_closure(two_qubit_model):
@@ -167,9 +156,10 @@ def test_open_loop_collective_dephasing_closure(two_qubit_model):
     oracle_rank = int((s > 1e-9 * s[0]).sum())
     assert len(delta) == oracle_rank
 
-    report = check_open_loop_geometric(delta, [m.drift_field()],
-                                       m.coherence_op, m.interaction_field())
-    assert report.open_loop_ok
+    # without controls the protected coherence is immune in open loop
+    decision = decide(replace(m, controls=()))
+    assert decision.kernel.member
+    assert decision.verdict == "invariant"
 
 
 def _rank_closure_oracle(seeds, fields, cutoff=1e-9, depth=12):
@@ -234,47 +224,17 @@ def test_closure_fields_unit_norm_and_labelled(two_qubit_model):
 # ---------------------------------------------------------------------------
 
 def test_controlled_two_qubit_original_fails(two_qubit_model):
-    m = two_qubit_model
-    report = check_controlled_decouplable(
-        [m.interaction_field()], m.control_fields(), m.drift_field(),
-        m.interaction_field(), m.coherence_op)
-    assert not report.controlled_ok
-    assert report.failing_bracket is not None
+    decision = decide(two_qubit_model)
+    assert decision.verdict == "necessary_failed"
+    assert decision.necessary.witness is not None
 
 
 def test_controlled_restructured_control_brackets_pass(restructured_model):
-    # mirrors the sufficiency computation: every [K_i, K_I] lands in G
-    m = restructured_model
-    report = check_controlled_decouplable(
-        [m.interaction_field()], m.control_fields(), None,
-        m.interaction_field(), m.coherence_op)
-    assert report.k_i_in_ker_dy
-    assert report.controlled_ok
-
-
-def test_controlled_full_tangent_span(two_qubit_model, rng):
-    # a control set spanning every skew generator accepts any bracket
-    m = two_qubit_model
-    d = m.dim
-    G = []
-    for i in range(d):
-        for j in range(i, d):
-            M = np.zeros((d, d), dtype=complex)
-            if i == j:
-                M[i, i] = 1j
-            else:
-                M[i, j] = 1.0
-                M[j, i] = -1.0
-            G.append(_field(Operator(M, "skew_hermitian")))
-            if i != j:
-                M2 = np.zeros((d, d), dtype=complex)
-                M2[i, j] = 1j
-                M2[j, i] = 1j
-                G.append(_field(Operator(M2, "skew_hermitian")))
-    report = check_controlled_decouplable(
-        [m.interaction_field()], G, m.drift_field(),
-        m.interaction_field(), m.coherence_op)
-    assert report.controlled_ok
+    # criterion 4: every [g, H_SE] lands in span(G)
+    decision = decide(restructured_model)
+    assert decision.kernel.member
+    assert decision.brackets_close and decision.bracket_residual <= 1e-9
+    assert decision.verdict == "decouplable"
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +254,10 @@ def test_formalism_agreement_one_and_two_qubits(two_qubit_model):
     dist2 = generate_ctilde(m.coherence_op, m.drift, list(m.controls))
     algebra2 = check_controller_necessary(m.coherence_op, dist2, m.interaction)
     geo2 = kernel_dy_member(m.interaction_field(), m.coherence_op)
-    geo2_full = check_open_loop_geometric(
-        [m.interaction_field()], [m.drift_field()] + m.control_fields(),
-        m.coherence_op, m.interaction_field())
+    geo2_full = decide(m)
     # both formalisms: first necessary condition holds, full immunity fails
     assert algebra2.residuals[0] <= 1e-9 and geo2.member
-    assert algebra2.verdict != "invariant" and not geo2_full.open_loop_ok
+    assert algebra2.verdict != "invariant" and geo2_full.open_loop.verdict == "not_invariant"
 
 
 def test_pointwise_membership_follows_generator_membership(rng):

@@ -229,7 +229,10 @@ _TRAJECTORY_FUNCTIONS = {
     "closed": functools.partial(integrate_closed_loop, feedback="protective"),
 }
 _BAD_INPUT_MESSAGES = {"unnormalized": "normalized", "zero_dt": "positive",
-                       "negative_t_end": "positive", "wrong_channels": "channels"}
+                       "negative_t_end": "positive", "wrong_channels": "channels",
+                       "off_grid_t_end": "whole number of steps",
+                       "sub_step_t_end": "whole number of steps"}
+_BAD_T_END = {"negative_t_end": -1.0, "off_grid_t_end": 0.0015, "sub_step_t_end": 0.0005}
 
 
 @pytest.mark.parametrize("bad", list(_BAD_INPUT_MESSAGES))
@@ -241,7 +244,7 @@ def test_trajectory_input_validation(function, bad):
     xi0 = preset_state(m, "dfs_pair")
     n = m.n_controls - 1 if bad == "wrong_channels" else m.n_controls
     args = {"xi0": 2.0 * xi0 if bad == "unnormalized" else xi0,
-            "t_end": -1.0 if bad == "negative_t_end" else 0.01,
+            "t_end": _BAD_T_END.get(bad, 0.01),
             "dt": 0.0 if bad == "zero_dt" else 1e-3}
     with pytest.raises(ValueError, match=_BAD_INPUT_MESSAGES[bad]):
         _TRAJECTORY_FUNCTIONS[function](m, ControlSchedule.zero(n), **args)
