@@ -9,12 +9,10 @@ from qdecouple import (
     TimeOperator,
     bilinear_form,
     commutator,
-    evaluate_time_operator,
     kron_embed,
     make_primitive,
     matrix_exponential,
     span_membership,
-    time_derivative,
 )
 from qdecouple.operators import TimeTerm
 
@@ -62,7 +60,7 @@ quad = TimeOperator((TimeTerm(a.matrix, 1.0, 1.3, 0),
                      TimeTerm(a.dagger().matrix, 1.0, -1.3, 0)),
                     label="rotating quadrature")
 print("value at t = 0 equals a + a+:",
-      np.allclose(evaluate_time_operator(quad, 0.0).matrix,
+      np.allclose(quad.evaluate(0.0).matrix,
                   a.matrix + a.dagger().matrix))
-dq = time_derivative(quad)
-print("derivative keys (frequency, power):", sorted(dq.merged().keys()))
+dq = quad.derivative()
+print("derivative keys (frequency, power):", sorted(dq.families))

@@ -17,12 +17,10 @@ from .operators import (
     TimeTerm,
     bilinear_form,
     commutator,
-    evaluate_time_operator,
     kron_embed,
     make_primitive,
     matrix_exponential,
     span_membership,
-    time_derivative,
 )
 from .invariance import (
     Decision,

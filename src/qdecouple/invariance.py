@@ -22,7 +22,6 @@ from .operators import (
     TimeOperator,
     commutator,
     Span,
-    span_membership,
     _closure,
 )
 
@@ -50,9 +49,6 @@ class OperatorDistribution:
     depth_reached: int
     converged: bool
 
-    def membership(self, op: OperatorLike, tol: float = DEFAULT_TOL):
-        return span_membership(op, self.generators, tol)
-
 
 @dataclass(frozen=True)
 class InvarianceReport:
@@ -71,7 +67,7 @@ def _drift_step(T: OperatorLike, H: Operator) -> OperatorLike:
 
 def _derivative_bound(T: OperatorLike) -> float:
     if isinstance(T, TimeOperator):
-        return max((abs(t.frequency) + t.power for t in T.terms), default=0.0)
+        return max((abs(nu) + p for nu, p in T.families), default=0.0)
     return 0.0
 
 

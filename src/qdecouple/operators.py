@@ -10,16 +10,18 @@ Conventions
 * Physical operators (Hamiltonians, coherence operators) are stored in
   Hermitian form.  Dynamical generators are obtained by multiplying by -1j
   (hbar = 1); the model builders do this, nothing here does it implicitly.
-* Time-dependent operators are finite sums  sum_k  a_k * t^p_k * e^(i nu_k t) * M_k.
-  This family is closed under differentiation and products, so identities
-  can be checked by exact coefficient comparison instead of sampling.
+* Time-dependent operators are finite sums  sum_k  t^p_k * e^(i nu_k t) * M_k,
+  with one matrix per (nu, p) family.  This family is closed under
+  differentiation and products, so identities can be checked by exact
+  coefficient comparison instead of sampling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -39,8 +41,6 @@ __all__ = [
     "Span",
     "span_membership",
     "bilinear_form",
-    "evaluate_time_operator",
-    "time_derivative",
     "opnorm",
 ]
 
@@ -178,7 +178,7 @@ def _require_same_dim(a, b):
 
 @dataclass(frozen=True)
 class TimeTerm:
-    """One term  amplitude * t^power * exp(1j*frequency*t) * matrix."""
+    """One term  amplitude * t^power * exp(1j*frequency*t) * matrix: TimeOperator's input."""
 
     matrix: np.ndarray
     amplitude: complex = 1.0 + 0j
@@ -202,71 +202,82 @@ class TimeTerm:
         return (round(self.frequency, FREQ_DECIMALS), self.power)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TimeOperator:
-    """Finite sum of TimeTerms; closed under d/dt, products and commutators."""
+    """sum over families (nu, p) of  t^p * exp(1j*nu*t) * M_(nu, p),  in canonical form.
 
-    terms: tuple[TimeTerm, ...]
-    label: str = ""
+    Built from TimeTerms: terms that share a key (nu rounded to FREQ_DECIMALS,
+    p) add into one matrix, and a family whose matrix is exactly zero is
+    dropped, so an operator whose terms cancel has no families but keeps its
+    `dim`.  `families` is a read-only mapping of read-only matrices.  Closed
+    under d/dt, sums, scalar multiples and commutators.
+    """
 
-    def __post_init__(self):
-        terms = tuple(self.terms)
-        if terms:
-            dims = {t.matrix.shape[0] for t in terms}
-            if len(dims) != 1:
-                raise DimensionMismatchError(f"term matrices disagree on dim: {dims}")
-        object.__setattr__(self, "terms", terms)
+    families: Mapping[tuple[float, int], np.ndarray]
+    dim: int
+    label: str
+
+    def __init__(self, terms: Iterable[TimeTerm], label: str = ""):
+        terms = tuple(terms)
+        dims = {t.matrix.shape[0] for t in terms}
+        if len(dims) != 1:
+            raise DimensionMismatchError(
+                f"term matrices must share one dim, got {dims or 'no terms'}")
+        self._set(((t.key, t.amplitude * t.matrix) for t in terms), dims.pop(), label)
+
+    @classmethod
+    def _from_parts(cls, parts: Iterable[tuple[tuple[float, int], np.ndarray]], dim: int,
+                    label: str = "") -> "TimeOperator":
+        """Canonical operator from (key, matrix) parts; parts that share a key add."""
+        op = cls.__new__(cls)
+        op._set(parts, dim, label)
+        return op
+
+    def _set(self, parts, dim: int, label: str):
+        acc: dict[tuple[float, int], np.ndarray] = {}
+        for key, m in parts:
+            acc[key] = m if key not in acc else acc[key] + m
+        families = {k: m for k, m in acc.items() if m.any()}
+        for m in families.values():
+            m.setflags(write=False)
+        object.__setattr__(self, "families", MappingProxyType(families))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "label", label)
 
     @classmethod
     def constant(cls, op: Operator, label: str = "") -> "TimeOperator":
         return cls((TimeTerm(op.matrix),), label or op.label)
 
-    @property
-    def dim(self) -> int:
-        if not self.terms:
-            raise ValueError("empty TimeOperator has no dimension")
-        return self.terms[0].matrix.shape[0]
-
-    def merged(self) -> dict[tuple[float, int], np.ndarray]:
-        """Canonical form: coefficient-family key -> accumulated matrix."""
-        out: dict[tuple[float, int], np.ndarray] = {}
-        for t in self.terms:
-            acc = out.get(t.key)
-            out[t.key] = t.amplitude * t.matrix if acc is None else acc + t.amplitude * t.matrix
-        return {k: m for k, m in out.items() if np.abs(m).max(initial=0.0) > 0.0}
-
     def norm(self) -> float:
-        merged = self.merged()
-        return float(np.sqrt(sum(opnorm(m) ** 2 for m in merged.values()))) if merged else 0.0
+        return float(np.sqrt(sum(opnorm(m) ** 2 for m in self.families.values())))
 
     def evaluate(self, t: float) -> Operator:
-        if not self.terms:
-            raise ValueError("cannot evaluate an empty TimeOperator")
         total = np.zeros((self.dim, self.dim), dtype=complex)
-        for term in self.terms:
-            total += term.amplitude * t ** term.power * np.exp(1j * term.frequency * t) * term.matrix
+        for (nu, p), m in self.families.items():
+            total += t ** p * np.exp(1j * nu * t) * m
         return Operator.detect(total, self.label)
 
     def derivative(self) -> "TimeOperator":
-        new = []
-        for t in self.terms:
-            if t.frequency != 0.0:
-                new.append(TimeTerm(t.matrix, t.amplitude * 1j * t.frequency, t.frequency, t.power))
-            if t.power > 0:
-                new.append(TimeTerm(t.matrix, t.amplitude * t.power, t.frequency, t.power - 1))
-        return TimeOperator(tuple(new), f"d/dt {self.label}".strip())
+        parts = []
+        for (nu, p), m in self.families.items():
+            if nu != 0.0:
+                parts.append(((nu, p), 1j * nu * m))
+            if p > 0:
+                parts.append(((nu, p - 1), p * m))
+        return TimeOperator._from_parts(parts, self.dim, f"d/dt {self.label}".strip())
 
     def __add__(self, other: "TimeOperator") -> "TimeOperator":
-        return TimeOperator(self.terms + other.terms)
+        _require_same_dim(self, other)
+        return TimeOperator._from_parts([*self.families.items(), *other.families.items()],
+                                        self.dim)
 
     def __rmul__(self, scalar: complex) -> "TimeOperator":
-        return TimeOperator(tuple(
-            TimeTerm(t.matrix, scalar * t.amplitude, t.frequency, t.power) for t in self.terms))
+        return TimeOperator._from_parts(((k, scalar * m) for k, m in self.families.items()),
+                                        self.dim)
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        merged = self.merged()
-        scale = max((opnorm(t.matrix) * abs(t.amplitude) for t in self.terms), default=1.0)
-        return all(opnorm(m) <= tol * max(1.0, scale) for m in merged.values())
+        """Every family's Frobenius norm is at most `tol` (absolute)."""
+        return all(opnorm(m) <= tol for m in self.families.values())
 
 
 OperatorLike = Union[Operator, TimeOperator]
@@ -355,16 +366,11 @@ def commutator(A: OperatorLike, B: OperatorLike) -> OperatorLike:
         return Operator(m, _commutator_flag(A.hermiticity, B.hermiticity))
     ta = A if isinstance(A, TimeOperator) else TimeOperator.constant(A)
     tb = B if isinstance(B, TimeOperator) else TimeOperator.constant(B)
-    if ta.terms and tb.terms and ta.dim != tb.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {ta.dim} vs {tb.dim}")
-    terms = []
-    for x in ta.terms:
-        for y in tb.terms:
-            terms.append(TimeTerm(x.matrix @ y.matrix - y.matrix @ x.matrix,
-                                  x.amplitude * y.amplitude,
-                                  x.frequency + y.frequency,
-                                  x.power + y.power))
-    return TimeOperator(tuple(terms))
+    _require_same_dim(ta, tb)
+    return TimeOperator._from_parts(
+        (((round(nu_x + nu_y, FREQ_DECIMALS), p_x + p_y), x @ y - y @ x)
+         for (nu_x, p_x), x in ta.families.items() for (nu_y, p_y), y in tb.families.items()),
+        ta.dim)
 
 
 def matrix_exponential(A: Operator) -> Operator:
@@ -389,7 +395,7 @@ def _collect_keys(ops: Iterable[OperatorLike]) -> tuple[tuple[float, int], ...]:
     keys: set[tuple[float, int]] = set()
     for op in ops:
         if isinstance(op, TimeOperator):
-            keys.update(op.merged().keys())
+            keys.update(op.families)
         else:
             keys.add((0.0, 0))
     return tuple(sorted(keys))
@@ -402,15 +408,11 @@ def vectorize(op: OperatorLike | np.ndarray,
         return op.ravel().astype(complex)
     if isinstance(op, Operator):
         op = TimeOperator.constant(op)
-    merged = op.merged()
-    missing = set(merged) - set(keys)
+    missing = set(op.families) - set(keys)
     if missing:
         raise ValueError(f"operator has coefficient families {missing} outside the key space")
-    dim2 = op.dim ** 2 if op.terms else 0
-    if dim2 == 0:
-        dim2 = next(iter(merged.values())).size if merged else 1
-    chunks = [merged.get(k, None) for k in keys]
-    flat = [c.ravel() if c is not None else np.zeros(dim2, dtype=complex) for c in chunks]
+    zero = np.zeros(op.dim ** 2, dtype=complex)
+    flat = [op.families[k].ravel() if k in op.families else zero for k in keys]
     return np.concatenate(flat) if flat else np.zeros(0, dtype=complex)
 
 
@@ -587,11 +589,3 @@ def bilinear_form(xi: np.ndarray, C: Operator) -> complex:
     if not (1 - 1e-6 <= nrm <= 1 + 1e-6):
         raise ValueError(f"state must be normalized to 1e-6, got |xi| = {float(nrm)!r}")
     return complex(np.vdot(xi, C.matrix @ xi))
-
-
-def evaluate_time_operator(T: TimeOperator, t: float) -> Operator:
-    return T.evaluate(t)
-
-
-def time_derivative(T: TimeOperator) -> TimeOperator:
-    return T.derivative()

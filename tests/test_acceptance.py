@@ -276,7 +276,7 @@ def test_criterion_10_electrooptic_check():
     omega = model.params.omega0
 
     # [C(t), H_1] = 2 cos(w t) I away from the truncation boundary
-    bracket = commutator(model.coherence_op, model.controls[0]).merged()
+    bracket = commutator(model.coherence_op, model.controls[0]).families
     ok = set(bracket) == {(omega, 0), (-omega, 0)}
     keep = np.arange(8)
     for key in ((omega, 0), (-omega, 0)):

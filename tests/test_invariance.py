@@ -122,7 +122,7 @@ def _closure_args(model, depth_cap, monkeypatch):
 
 def _generator_bytes(op):
     if isinstance(op, TimeOperator):
-        return [(t.amplitude, t.frequency, t.power, t.matrix.tobytes()) for t in op.terms]
+        return [(key, m.tobytes()) for key, m in op.families.items()]
     return op.matrix.tobytes()
 
 
@@ -158,9 +158,8 @@ def test_frontier_walk_matches_full_walk(two_qubit_model, restructured_model, mo
 
 
 def _restrict_time_op(T: TimeOperator, proj: np.ndarray) -> TimeOperator:
-    return TimeOperator(tuple(
-        TimeTerm(proj @ t.matrix @ proj, t.amplitude, t.frequency, t.power)
-        for t in T.terms))
+    return TimeOperator(tuple(TimeTerm(proj @ m @ proj, 1.0, nu, p)
+                              for (nu, p), m in T.families.items()))
 
 
 def test_electrooptic_first_level_closure_on_safe_subspace():
@@ -203,6 +202,29 @@ def test_electrooptic_drift_step_annihilates_coherence_operator():
     C = model.coherence_op
     step = commutator(C, model.drift) + C.derivative()
     assert step.is_zero(tol=1e-12)
+
+
+# the float closure equals an exact closure over GF(p) through depth 16;
+# deeper it over-counts (exact: rank 198, converged at depth 21), so no
+# deeper rank is pinned
+ELECTROOPTIC_RANKS = (2, 4, 7, 11, 16, 22, 29, 37, 47, 59, 73, 89, 107, 126, 144, 160)
+
+
+def test_electrooptic_closure_ranks_through_depth_16():
+    model = build_electrooptic()
+    for cap, rank in enumerate(ELECTROOPTIC_RANKS, start=1):
+        dist = generate_ctilde(model.coherence_op, model.drift, list(model.controls),
+                               depth_cap=cap)
+        assert (dist.rank, dist.depth_reached, dist.converged) == (rank, cap, False)
+
+
+def test_electrooptic_closure_keeps_two_families_per_generator():
+    # C(t) has the families e^(+i w t) and e^(-i w t); brackets with the
+    # constant drift and controls keep them, so the form cannot grow
+    model = build_electrooptic()
+    dist = generate_ctilde(model.coherence_op, model.drift, list(model.controls),
+                           depth_cap=22)
+    assert max(len(gen.families) for gen in dist.generators) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_collective_dephasing_drift_and_interaction(build, n_qubits, coupled):
 def test_electrooptic_control_bracket_is_cosine_on_safe_levels():
     model = build_electrooptic(n_sys=10, params=ModelParams(g=1.0))
     C = model.coherence_op
-    bracket = commutator(C, model.controls[0]).merged()
+    bracket = commutator(C, model.controls[0]).families
     n_env = model.params.env_levels
     keep = np.arange(8)
     for key in ((model.params.omega0, 0), (-model.params.omega0, 0)):

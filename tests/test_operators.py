@@ -9,12 +9,10 @@ from qdecouple import (
     TimeTerm,
     bilinear_form,
     commutator,
-    evaluate_time_operator,
     kron_embed,
     make_primitive,
     matrix_exponential,
     span_membership,
-    time_derivative,
 )
 from conftest import random_matrix, random_state
 
@@ -310,22 +308,21 @@ def _rotating_quadrature(n=4, omega=1.3):
 def test_time_derivative_of_rotating_quadrature():
     omega = 1.3
     T = _rotating_quadrature(omega=omega)
-    dT = time_derivative(T)
-    merged = dT.merged()
+    families = T.derivative().families
     a = make_primitive("boson_lower", 4).matrix
-    assert np.allclose(merged[(omega, 0)], 1j * omega * a)
-    assert np.allclose(merged[(-omega, 0)], -1j * omega * a.conj().T)
+    assert np.allclose(families[(omega, 0)], 1j * omega * a)
+    assert np.allclose(families[(-omega, 0)], -1j * omega * a.conj().T)
 
 
 def test_time_derivative_of_constant_is_zero():
     T = TimeOperator.constant(make_primitive("pauli_x", 2))
-    assert time_derivative(T).is_zero()
+    assert T.derivative().is_zero()
 
 
 def test_time_operator_evaluation_at_zero():
     T = _rotating_quadrature()
     a = make_primitive("boson_lower", 4).matrix
-    assert np.allclose(evaluate_time_operator(T, 0.0).matrix, a + a.conj().T)
+    assert np.allclose(T.evaluate(0.0).matrix, a + a.conj().T)
 
 
 def test_time_operator_derivative_matches_sampling(rng):
@@ -345,8 +342,107 @@ def test_time_commutator_stays_in_family():
     T = _rotating_quadrature(n=3, omega=2.0)
     other = TimeOperator.constant(Operator(np.diag([0.0, 1.0, 2.0]).astype(complex)))
     bracket = commutator(T, other)
-    keys = set(bracket.merged().keys())
+    keys = set(bracket.families)
     assert keys <= {(2.0, 0), (-2.0, 0)}
+
+
+# canonical form: one matrix per (frequency, power) family
+
+FAMILIES = [(0.0, 0), (1.5, 0), (-1.5, 0), (0.7, 1), (0.0, 2)]
+
+
+def _random_terms(rng, n_terms, dim=3):
+    """TimeTerms over a few keys, so several terms share one family."""
+    picks = rng.integers(len(FAMILIES), size=n_terms)
+    return [TimeTerm(random_matrix(rng, dim), complex(*rng.standard_normal(2)), *FAMILIES[i])
+            for i in picks]
+
+
+def _evaluate_terms(terms, t):
+    """sum of a t^p e^(i nu t) M, one term at a time: the reference."""
+    return sum(x.amplitude * t ** x.power * np.exp(1j * x.frequency * t) * x.matrix
+               for x in terms)
+
+
+def _derivative_terms(terms, t):
+    return sum(x.amplitude * (1j * x.frequency * t ** x.power
+                              + (x.power * t ** (x.power - 1) if x.power else 0.0))
+               * np.exp(1j * x.frequency * t) * x.matrix for x in terms)
+
+
+def _assert_close(got, ref):
+    assert np.linalg.norm(got - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
+
+def test_terms_sharing_a_key_merge_into_one_family():
+    rng = np.random.default_rng(101)
+    A, B, C = (random_matrix(rng, 3) for _ in range(3))
+    # frequencies equal at FREQ_DECIMALS share a key
+    T = TimeOperator((TimeTerm(A, 0.5, 1.5, 1), TimeTerm(C, 2.0, -0.3, 0),
+                      TimeTerm(B, -1j, 1.5 + 1e-14, 1)))
+    assert list(T.families) == [(1.5, 1), (-0.3, 0)]
+    assert np.array_equal(T.families[(1.5, 1)], 0.5 * A + (-1j) * B)
+    assert np.array_equal(T.families[(-0.3, 0)], 2.0 * C)
+
+
+def test_cancelling_terms_leave_no_family_and_keep_dim():
+    rng = np.random.default_rng(102)
+    A, B = random_matrix(rng, 3), random_matrix(rng, 3)
+    T = TimeOperator((TimeTerm(A, 1.0, 0.7, 1), TimeTerm(B, 1.0, 0.0, 0),
+                      TimeTerm(A, -1.0, 0.7, 1)))
+    assert list(T.families) == [(0.0, 0)]
+    empty = T + (-1.0) * T
+    for op in [empty, TimeOperator((TimeTerm(A, 2.0), TimeTerm(A, -2.0))),
+               commutator(TimeOperator.constant(Operator(A)), Operator(A)),
+               TimeOperator.constant(Operator(B)).derivative()]:
+        assert dict(op.families) == {}
+        assert op.dim == 3
+        assert op.norm() == 0.0 and op.is_zero()
+        assert np.array_equal(op.evaluate(0.9).matrix, np.zeros((3, 3)))
+    with pytest.raises(DimensionMismatchError):
+        TimeOperator(())
+
+
+def test_time_operator_is_read_only():
+    rng = np.random.default_rng(103)
+    T = TimeOperator(_random_terms(rng, 6))
+    U = TimeOperator(_random_terms(rng, 6))
+    for op in [T, T + U, 2.0 * T, T.derivative(), commutator(T, U)]:
+        with pytest.raises(AttributeError):
+            op.families = {}
+        key, m = next(iter(op.families.items()))
+        with pytest.raises(TypeError):
+            op.families[key] = m
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+
+def test_time_operator_algebra_matches_term_by_term_evaluation():
+    rng = np.random.default_rng(104)
+    for _ in range(20):
+        terms_a, terms_b = _random_terms(rng, 7), _random_terms(rng, 5)
+        A, B = TimeOperator(terms_a), TimeOperator(terms_b)
+        c = complex(*rng.standard_normal(2))
+        total, scaled, dA, bracket = A + B, c * A, A.derivative(), commutator(A, B)
+        for t in rng.uniform(0.0, 3.0, size=4):
+            a_t, b_t = _evaluate_terms(terms_a, t), _evaluate_terms(terms_b, t)
+            _assert_close(A.evaluate(t).matrix, a_t)
+            _assert_close(total.evaluate(t).matrix, a_t + b_t)
+            _assert_close(scaled.evaluate(t).matrix, c * a_t)
+            _assert_close(dA.evaluate(t).matrix, _derivative_terms(terms_a, t))
+            _assert_close(bracket.evaluate(t).matrix, a_t @ b_t - b_t @ a_t)
+
+
+def test_is_zero_bounds_every_family_absolutely():
+    unit = np.diag([1.0, 0.0]).astype(complex)
+    T = TimeOperator((TimeTerm(unit, 3e-13, 1.5), TimeTerm(unit, 8e-13, 0.0, 1)))
+    assert T.is_zero(1e-12) and T.is_zero(9e-13)
+    assert not T.is_zero(5e-13) and not T.is_zero()
+    # a residue of large terms that cancel is judged by its own norm, not
+    # relative to the terms it came from
+    big = 100.0 * np.ones((2, 2), dtype=complex)
+    R = TimeOperator((TimeTerm(big), TimeTerm(big, -1.0), TimeTerm(unit, 1e-11)))
+    assert not R.is_zero(1e-12) and R.is_zero(1e-11)
 
 
 def test_truncation_caveat_ladder_commutator():

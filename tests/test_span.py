@@ -29,7 +29,7 @@ TOL = 1e-9
 
 def _families(op):
     if isinstance(op, TimeOperator):
-        return op.merged()
+        return op.families
     return {(0.0, 0): op.matrix}
 
 
@@ -200,7 +200,7 @@ def test_distribution_membership_matches_span_membership(restructured_closure, r
     for target in targets:
         shared = span.membership(target)
         _assert_matches(shared, target, dist.generators)
-        fresh = dist.membership(target, TOL)
+        fresh = span_membership(target, dist.generators, TOL)
         assert shared.is_member == fresh.is_member
         assert shared.rank_used == fresh.rank_used == dist.rank
         assert abs(shared.residual_norm - fresh.residual_norm) <= \
