@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .geometry import LinearVectorField
 from .operators import (
@@ -314,6 +313,8 @@ def cbh_effective_generator(HA: Operator, HB: Operator, t: float) -> tuple[Opera
     ua_inv = matrix_exponential((-t) * HA)
     ub_inv = matrix_exponential((-t) * HB)
     U = Operator(ua.matrix @ ub.matrix @ ua_inv.matrix @ ub_inv.matrix, "general", "U(4t)")
+
+    import scipy.linalg  # deferred: it more than doubles the package's import time
 
     logU = scipy.linalg.logm(U.matrix)
     recon = opnorm(scipy.linalg.expm(logU) - U.matrix)

@@ -24,7 +24,6 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "DimensionMismatchError",
@@ -96,9 +95,13 @@ class TensorLayout:
         return int(np.prod(self.dims))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
-    """An immutable dense complex matrix with a verified hermiticity flag."""
+    """An immutable dense complex matrix with a verified hermiticity flag.
+
+    `==` and `hash` are by identity, as for TimeTerm and TimeOperator: a
+    value comparison of matrices needs a tolerance, which `==` cannot take.
+    """
 
     matrix: np.ndarray
     hermiticity: str = "general"
@@ -176,7 +179,7 @@ def _require_same_dim(a, b):
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeTerm:
     """One term  amplitude * t^power * exp(1j*frequency*t) * matrix: TimeOperator's input."""
 
@@ -202,7 +205,7 @@ class TimeTerm:
         return (round(self.frequency, FREQ_DECIMALS), self.power)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TimeOperator:
     """sum over families (nu, p) of  t^p * exp(1j*nu*t) * M_(nu, p),  in canonical form.
 
@@ -375,6 +378,8 @@ def commutator(A: OperatorLike, B: OperatorLike) -> OperatorLike:
 
 def matrix_exponential(A: Operator) -> Operator:
     """exp(A); checked unitary to 1e-10 when A is skew-Hermitian."""
+    import scipy.linalg  # deferred: it more than doubles the package's import time
+
     m = scipy.linalg.expm(A.matrix)
     if not np.all(np.isfinite(m)):
         raise NumericalError(

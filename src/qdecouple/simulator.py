@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .models import ModelParams, SystemModel
 from .operators import TimeOperator
@@ -75,6 +74,13 @@ class ControlSchedule:
     @classmethod
     def piecewise_constant(cls, breakpoints: Sequence[float],
                            values: Sequence[Sequence[float]]) -> "ControlSchedule":
+        """`values[k]` from `breakpoints[k - 1]` on, `values[0]` before the first.
+
+        Every trajectory function (open loop, closed loop and the exact
+        propagation) holds such a drive at its value at the start of each
+        step, so a breakpoint off the dt grid takes effect at the next grid
+        point: with dt = 1e-3, a breakpoint at 0.0015 acts as one at 0.002.
+        """
         bp = np.asarray(breakpoints, dtype=float)
         vals = np.asarray(values, dtype=float)
         if bp.ndim != 1 or np.any(np.diff(bp) <= 0):
@@ -283,6 +289,8 @@ def propagate_piecewise_exact(model: SystemModel, schedule: ControlSchedule,
     """
     if schedule.kind not in ("constant", "piecewise_constant"):
         raise ValueError("exact propagation requires a (piecewise-)constant schedule")
+
+    import scipy.linalg  # deferred: it more than doubles the package's import time
 
     def exact_step(static: np.ndarray, ctrl: np.ndarray) -> StepRule:
         cache: dict[bytes, np.ndarray] = {}

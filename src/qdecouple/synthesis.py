@@ -21,13 +21,13 @@ Two synthesizers are provided:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .models import SystemModel, _environment_powers
 from .operators import _PAULI, Operator, Span, _IncrementalSpan, _numerical_rank, opnorm
@@ -240,13 +240,21 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
 # The solve stage calls LAPACK the way scipy.linalg's lstsq (gelsd), svd
 # (gesdd) and pivoted qr (geqp3, orgqr) do, with the same workspace sizes,
 # but without their per-call checks, which at these sizes cost about as
-# much as the factorizations.
-_gelsd, _gelsd_lwork, _gesdd, _gesdd_lwork, _geqp3, _orgqr = scipy.linalg.get_lapack_funcs(
-    ("gelsd", "gelsd_lwork", "gesdd", "gesdd_lwork", "geqp3", "orgqr"), dtype=np.float64)
+# much as the factorizations.  Each handle is resolved once, on the first
+# solve that needs it, not at import: importing scipy.linalg more than
+# doubles the package's import time, and only this synthesis calls LAPACK.
+@functools.cache
+def _lapack_routine(name: str):
+    """The float64 LAPACK handle `name` (gelsd, gesdd, geqp3, orgqr, ...)."""
+    import scipy.linalg
+
+    return scipy.linalg.get_lapack_funcs(name, dtype=np.float64)
 
 
-def _lapack(routine, *args, **kwargs):
-    """`routine`'s outputs without its trailing info flag, raised on if set."""
+def _lapack(name: str, *args, **kwargs):
+    """LAPACK routine `name`'s outputs without its trailing info flag,
+    raised on if set."""
+    routine = _lapack_routine(name)
     *out, info = routine(*args, **kwargs)
     if info:
         raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} failed (info = {info})")
@@ -257,32 +265,32 @@ def _lstsq(a: np.ndarray, b: np.ndarray, cond: float) -> np.ndarray:
     """Minimum-norm least-squares solution of a x = b, singular values below
     `cond` times the largest taken as zero."""
     m, n = a.shape
-    work, iwork = _lapack(_gelsd_lwork, m, n, b.shape[1], cond)
+    work, iwork = _lapack("gelsd_lwork", m, n, b.shape[1], cond)
     rhs = np.zeros((max(m, n), b.shape[1]))
     rhs[:m] = b
-    return _lapack(_gelsd, a, rhs, int(work), iwork, cond)[0][:n]
+    return _lapack("gelsd", a, rhs, int(work), iwork, cond)[0][:n]
 
 
 def _svd(a: np.ndarray, compute_uv: bool = True):
     """(left singular vectors, singular values) of the thin SVD, or the
     singular values alone."""
     m, n = a.shape
-    lwork = int(_lapack(_gesdd_lwork, m, n, compute_uv, False)[0])
-    u, s, _ = _lapack(_gesdd, a, compute_uv, False, lwork)
+    lwork = int(_lapack("gesdd_lwork", m, n, compute_uv, False)[0])
+    u, s, _ = _lapack("gesdd", a, compute_uv, False, lwork)
     return (u, s) if compute_uv else s
 
 
 def _pivoted_qr(a: np.ndarray):
     """Column-pivoted QR: (packed factors, 0-based pivots, reflector scales)."""
-    lwork = int(_lapack(_geqp3, a, -1)[3][0])
-    qr, jpvt, tau, _ = _lapack(_geqp3, a, lwork)
+    lwork = int(_lapack("geqp3", a, -1)[3][0])
+    qr, jpvt, tau, _ = _lapack("geqp3", a, lwork)
     return qr, jpvt - 1, tau
 
 
 def _orthonormal_columns(qr: np.ndarray, tau: np.ndarray, k: int) -> np.ndarray:
     """The first `k` columns of the Q of a packed QR factorization."""
-    lwork = int(_lapack(_orgqr, qr[:, :k], tau[:k], -1)[1][0])
-    return _lapack(_orgqr, qr[:, :k], tau[:k], lwork)[0]
+    lwork = int(_lapack("orgqr", qr[:, :k], tau[:k], -1)[1][0])
+    return _lapack("orgqr", qr[:, :k], tau[:k], lwork)[0]
 
 
 class FeedbackSynthesizer:

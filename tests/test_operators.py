@@ -417,6 +417,18 @@ def test_time_operator_is_read_only():
             m[0, 0] = 1.0
 
 
+def test_operators_compare_and_hash_by_identity():
+    # a value comparison of matrices needs a tolerance, so == is identity
+    # and never raises, even between distinct objects with equal matrices
+    a = np.arange(9.0).reshape(3, 3)
+    pairs = [(Operator(a), Operator(a)), (TimeTerm(a), TimeTerm(a)),
+             (TimeOperator.constant(Operator(a)), TimeOperator.constant(Operator(a)))]
+    for x, y in pairs:
+        assert x == x and not x != x
+        assert x != y and not x == y
+        assert len({x, y, x}) == 2
+
+
 def test_time_operator_algebra_matches_term_by_term_evaluation():
     rng = np.random.default_rng(104)
     for _ in range(20):
