@@ -35,6 +35,7 @@ from .simulator import (
     preset_state,
     write_trajectory_csv,
     _atomic_write,
+    _g_label,
     _grid_size,
 )
 from .synthesis import (
@@ -429,10 +430,12 @@ def _cmd_compare(cfg: RunConfig, g_list: list[complex], mode: str, feedback: str
         rep.write("compare_report.txt")
         return 1
     for g in report.g_values:
-        rep.add(f"g={g.real:g}: max |y| deviation "
+        rep.add(f"g={_g_label(g)}: max |y| deviation "
                 f"{report.max_abs_deviation[g]:.6e}, "
                 f"norm drift {report.norm_drift[g]:.3e}, "
                 f"runtime {report.runtimes[g]:.1f}s")
+    rep.add("max complex deviation |y - y(g=0)|: " + ", ".join(
+        f"g={_g_label(g)} {report.max_complex_deviation[g]:.6e}" for g in report.g_values))
     if report.passed:
         rep.add(f"PASS max deviation < tol ({cfg.tol_decoupling:g})")
     else:

@@ -16,6 +16,7 @@ frozen over each step, so every run is deterministic and reproducible.
 from __future__ import annotations
 
 import os
+import threading
 import time as _time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
@@ -132,10 +133,12 @@ class Trajectory:
 
 @dataclass(eq=False)
 class DecouplingReport:
-    """|y| trace deviations of each run against the zero-interaction reference."""
+    """Coherence trace deviations of each run against the zero-interaction
+    reference: on |y|, which `passed` judges, and on the complex y."""
 
     g_values: tuple[complex, ...]
     max_abs_deviation: dict
+    max_complex_deviation: dict
     norm_drift: dict
     runtimes: dict
     tolerance: float
@@ -335,7 +338,7 @@ def _closed_loop_points(model: SystemModel, v_schedule: ControlSchedule,
             except DegenerateStateError as exc:
                 raise DegenerateStateError(
                     f"{exc} [closed-loop stage at t = {t:.6f}; state dump: "
-                    f"{np.array2string(state, precision=6)}]") from exc
+                    f"{np.array2string(state, precision=6)}]", K=exc.K) from exc
             stats["ranks_seen"].add(s.ranks)
             stats["synthesis_warnings"] += len(s.warnings)
             stats["beta_rank_min"] = min(stats["beta_rank_min"], s.beta_rank)
@@ -384,21 +387,22 @@ def compare_decoupling(model_builder: Callable[[ModelParams], SystemModel],
                        feedback: str = "least_squares",
                        basis_builder: Optional[Callable[[SystemModel], InvariantBasis]] = None,
                        csv_path: Optional[str] = None) -> DecouplingReport:
-    """Run one trajectory per interaction strength and compare |y| traces.
+    """Run one trajectory per interaction strength and compare the y traces.
 
     g_values must contain 0 (the closed-system reference).  `mode` is
     "open" or "closed"; closed mode uses `feedback` ("least_squares" or
-    "protective").  Reports the maximum absolute deviation of |y(t)|
-    against the reference, per g, and passes when every deviation is within
-    `tolerance`.
+    "protective").  Reports the maximum absolute deviation of |y(t)| and of
+    the complex y(t) against the reference, per g, and passes when every
+    |y| deviation is within `tolerance`.  Each distinct g runs once, and the
+    distinct values run side by side (`_run_side_by_side`); an error is the
+    one the first failing g raises.
     """
     gs = [complex(g) for g in g_values]
     if not any(g == 0 for g in gs):
         raise ValueError("g_values must include 0 as the reference")
 
-    runs: dict[complex, Trajectory] = {}
-    runtimes: dict[complex, float] = {}
-    for g in gs:
+    def run(g: complex):
+        """What the report reads of the run at g: times, complex y, norm drift, runtime."""
         model = model_builder(replace(params, g=g))
         start = _time.perf_counter()
         x0 = preset_state(model, xi0) if isinstance(xi0, str) else np.asarray(xi0)
@@ -411,22 +415,103 @@ def compare_decoupling(model_builder: Callable[[ModelParams], SystemModel],
                                          norm_guard=norm_guard, feedback=feedback)
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        runtimes[g] = _time.perf_counter() - start
-        runs[g] = traj
+        return traj.times, traj.y, traj.max_norm_drift, _time.perf_counter() - start
 
-    ref = runs[[g for g in gs if g == 0][0]]
-    deviations = {g: float(np.abs(runs[g].abs_y - ref.abs_y).max()) for g in gs}
+    runs = _run_side_by_side(run, list(dict.fromkeys(gs)))
+    times, y_ref = runs[0][:2]
+    abs_y = {g: np.abs(y) for g, (_, y, _, _) in runs.items()}
+    deviations = {g: float(np.abs(abs_y[g] - abs_y[0]).max()) for g in gs}
     report = DecouplingReport(
         g_values=tuple(gs),
         max_abs_deviation=deviations,
-        norm_drift={g: runs[g].max_norm_drift for g in gs},
-        runtimes=runtimes,
+        max_complex_deviation={g: float(np.abs(runs[g][1] - y_ref).max()) for g in gs},
+        norm_drift={g: runs[g][2] for g in gs},
+        runtimes={g: runs[g][3] for g in gs},
         tolerance=tolerance,
         passed=all(dev <= tolerance for g, dev in deviations.items() if g != 0),
     )
     if csv_path:
-        _write_compare_csv(report, ref.times, {g: runs[g].abs_y for g in gs}, csv_path)
+        _write_compare_csv(report, times, abs_y, csv_path)
     return report
+
+
+def _run_side_by_side(run: Callable, gs: list) -> dict:
+    """{g: run(g)} for distinct values g, run side by side.
+
+    The values split into contiguous shares, one per CPU this process may
+    use and at most one per value.  The calling process runs the first
+    share, and a worker started with `fork` runs each other one and sends
+    back each result as it completes.  Without `fork`, with one CPU, or
+    with other threads running (a fork copies only the calling one), the
+    caller's share is every value.  A share stops at its first error, and
+    the shares are read in order, so the error raised is the one of the
+    first failing value, as in a sequential loop.  No worker outlives the
+    call: each is joined, after being terminated if the call fails.
+    """
+    import multiprocessing  # deferred: 19 modules the other commands never use
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    forks = "fork" in multiprocessing.get_all_start_methods() \
+        and threading.active_count() == 1
+    n = min(len(gs), cpus) if forks else 1
+    shares = [gs[len(gs) * i // n:len(gs) * (i + 1) // n] for i in range(n)]
+    streams = [_outcomes(run, shares[0])]
+    workers = []
+    try:
+        for share in shares[1:]:
+            ctx = multiprocessing.get_context("fork")
+            receiver, sender = ctx.Pipe(duplex=False)
+            worker = ctx.Process(target=_send_outcomes, args=(run, share, sender),
+                                 daemon=True)
+            worker.start()
+            workers.append((worker, receiver))
+            sender.close()
+            streams.append(_received(worker, receiver, share))
+        results = {}
+        for share, stream in zip(shares, streams):
+            for g, outcome in zip(share, stream):
+                if isinstance(outcome, Exception):
+                    raise outcome
+                results[g] = outcome
+        return results
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, receiver in workers:
+            worker.join()
+            receiver.close()
+
+
+def _outcomes(run: Callable, share: list):
+    """run(g) for each g of the share in order, up to its first error, which
+    is yielded in place of a result."""
+    for g in share:
+        try:
+            outcome = run(g)
+        except Exception as exc:
+            yield exc
+            return
+        yield outcome
+
+
+def _send_outcomes(run: Callable, share: list, sender):
+    """A worker's body: the share's outcomes, one message each."""
+    for outcome in _outcomes(run, share):
+        sender.send(outcome)
+    sender.close()
+
+
+def _received(worker, receiver, share: list):
+    """The outcomes a worker sends for its share, in order."""
+    for g in share:
+        try:
+            yield receiver.recv()
+        except EOFError:
+            worker.join()
+            raise RuntimeError(f"the worker running g={_g_label(g)} exited with code "
+                               f"{worker.exitcode} before sending its result") from None
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +537,17 @@ def write_trajectory_csv(traj: Trajectory, path: str):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _g_label(g: complex) -> str:
+    """How reports and CSV headers name g: by its real part when g is real."""
+    return f"{g.real:g}" if g.imag == 0 else f"{g:g}"
+
+
 def _write_compare_csv(report: DecouplingReport, times: np.ndarray,
                        abs_traces: dict, path: str):
     gs = list(report.g_values)
-    header = ["t"] + [f"abs_y_g={g.real:g}" for g in gs] \
-        + [f"dev_g={g.real:g}" for g in gs if g != 0]
-    ref = abs_traces[[g for g in gs if g == 0][0]]
+    header = ["t"] + [f"abs_y_g={_g_label(g)}" for g in gs] \
+        + [f"dev_g={_g_label(g)}" for g in gs if g != 0]
+    ref = abs_traces[0]
     lines = [",".join(header)]
     for k in range(times.size):
         row = [times[k]] + [abs_traces[g][k] for g in gs] \

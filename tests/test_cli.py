@@ -298,6 +298,20 @@ def test_compare_open_contrast_fails(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_compare_labels_complex_g_in_full(tmp_path, capsys):
+    code = run_command(["compare", "--model", "two_qubit", "--mode", "open",
+                        "--g", "0,10j,10", "--t-end", "0.05",
+                        "--output-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code in (0, 2)
+    labels = [line.split(":", 1)[0] for line in out.splitlines() if line.startswith("g=")]
+    assert labels == ["g=0", "g=0+10j", "g=10"]
+    assert ("max complex deviation |y - y(g=0)|: g=0 0.000000e+00, g=0+10j "
+            in out)
+    header = (tmp_path / "compare_two_qubit.csv").read_text().split("\n", 1)[0]
+    assert header == "t,abs_y_g=0,abs_y_g=0+10j,abs_y_g=10,dev_g=0+10j,dev_g=10"
+
+
 def test_compare_protective_passes(tmp_path, capsys):
     code = run_command(["compare", "--model", "restructured", "--mode", "closed",
                         "--feedback", "protective", "--g", "0,10",

@@ -1,7 +1,8 @@
 """Every public name a module declares, and every name the package
 namespace imports, exists: tools that walk ``__all__`` (the benchmark's
 tracer among them) fail on a stale entry.  And importing the package, or
-running a command that never factorizes, leaves scipy.linalg unloaded."""
+running a command that never factorizes, leaves scipy.linalg unloaded; the
+import, check and dfs leave multiprocessing unloaded too."""
 import ast
 import importlib
 import json
@@ -47,6 +48,7 @@ _NO_SCIPY_SCRIPT = """
 import json, sys, tempfile
 import qdecouple.cli
 loaded = {"import": "scipy.linalg" in sys.modules}
+multiprocessing = {"import": "multiprocessing" in sys.modules}
 codes = {}
 commands = {
     "check": ["check", "--model", "restructured"],
@@ -60,7 +62,8 @@ with tempfile.TemporaryDirectory() as out:
     for name, argv in commands.items():
         codes[name] = qdecouple.cli.run_command(argv + ["--output-dir", out])
         loaded[name] = "scipy.linalg" in sys.modules
-print(json.dumps({"loaded": loaded, "codes": codes}))
+        multiprocessing[name] = "multiprocessing" in sys.modules
+print(json.dumps({"loaded": loaded, "multiprocessing": multiprocessing, "codes": codes}))
 """
 
 _SCIPY_USERS = {
@@ -113,6 +116,9 @@ def test_cold_start_and_scipy_free_commands_leave_scipy_linalg_unloaded():
     assert result["codes"] == {"check": 0, "dfs": 0, "compare-open": 0,
                                "compare-protective": 0}
     assert result["loaded"] == dict.fromkeys(["import", *result["codes"]], False)
+    # compare imports multiprocessing to run its strengths side by side; the
+    # cold start and the commands that never compare leave it unloaded
+    assert not any(result["multiprocessing"][k] for k in ("import", "check", "dfs"))
 
 
 def test_scipy_users_import_it_on_first_use():

@@ -1,5 +1,7 @@
 import functools
+import multiprocessing
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from qdecouple import (
     propagate_piecewise_exact,
     write_trajectory_csv,
 )
-from qdecouple.synthesis import ProtectiveSynthesizer
+from qdecouple.synthesis import DegenerateStateError, ProtectiveSynthesizer
 from conftest import random_state
 
 
@@ -388,6 +390,133 @@ def test_compare_protective_decoupling(tmp_path):
                                 tolerance=1e-4)
     assert report.passed
     assert report.max_abs_deviation[10.0 + 0j] <= 1e-10
+    # the feedback decouples the complex coherence, not only |y|
+    assert report.max_complex_deviation[0j] == 0.0
+    assert report.max_complex_deviation[10.0 + 0j] <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# side-by-side runs of compare_decoupling
+# ---------------------------------------------------------------------------
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _report_fields(report):
+    return (report.g_values, report.max_abs_deviation, report.max_complex_deviation,
+            report.norm_drift, report.tolerance, report.passed)
+
+
+_COMPARES = {
+    "open": dict(model_builder=build_two_qubit, v_schedule=_u1_schedule(),
+                 t_end=0.5, mode="open"),
+    "protective": dict(model_builder=build_restructured,
+                       v_schedule=ControlSchedule.sinusoidal(
+                           np.ones(24), np.linspace(1.0, 2.0, 24)),
+                       t_end=0.2, mode="closed", feedback="protective"),
+    "least_squares": dict(model_builder=build_restructured,
+                          v_schedule=ControlSchedule.zero(24),
+                          t_end=0.01, mode="closed", feedback="least_squares"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_COMPARES))
+def test_compare_side_by_side_matches_one_cpu(kind, tmp_path, monkeypatch):
+    outputs = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        csv = tmp_path / f"cmp{cpus}.csv"
+        report = compare_decoupling(g_values=[0.0, 10.0], xi0="dfs_pair",
+                                    csv_path=str(csv), **_COMPARES[kind])
+        assert multiprocessing.active_children() == []
+        outputs[cpus] = _report_fields(report), csv.read_bytes()
+    assert outputs[1] == outputs[2]
+
+
+def _norm_guard_message(g_values, monkeypatch, cpus):
+    # dt = 0.1 keeps g = 0 within the norm budget; g = 10 and g = 20 trip it
+    _cpus(monkeypatch, cpus)
+    with pytest.raises(NormGuardError) as err:
+        compare_decoupling(build_two_qubit, g_values, _u1_schedule(), "dfs_pair",
+                           t_end=2.0, dt=0.1, mode="open")
+    assert multiprocessing.active_children() == []
+    return str(err.value)
+
+
+@pytest.mark.parametrize("g_values", [[0.0, 10.0], [0.0, 20.0, 10.0], [20.0, 0.0, 10.0]])
+def test_compare_side_by_side_raises_the_first_failing_g(g_values, monkeypatch):
+    sequential = _norm_guard_message(g_values, monkeypatch, 1)
+    assert _norm_guard_message(g_values, monkeypatch, len(g_values)) == sequential
+    first_failing = next(g for g in g_values if g != 0)
+    assert sequential == _norm_guard_message([0.0, first_failing], monkeypatch, 1)
+
+
+def test_degenerate_state_error_pickles_with_K():
+    err = pickle.loads(pickle.dumps(DegenerateStateError("no complement", K=3)))
+    assert (type(err), str(err), err.K) == (DegenerateStateError, "no complement", 3)
+
+
+def test_compare_closed_loop_degenerate_state_keeps_K(monkeypatch):
+    # |00> (x) |0> reaches no complement direction: the closed loop's first
+    # stage raises, and the report of that stage keeps the rank K
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(DegenerateStateError) as err:
+            compare_decoupling(build_restructured, [0.0, 10.0], ControlSchedule.zero(24),
+                               "ground", t_end=0.01, mode="closed")
+        assert err.value.K is not None and "closed-loop stage at t = 0" in str(err.value)
+
+
+def test_compare_worker_error_keeps_its_type_and_K(monkeypatch):
+    parent = os.getpid()
+
+    def builder(params):
+        if params.g != 0:
+            assert os.getpid() != parent, "g = 10 ran in the calling process"
+            raise DegenerateStateError("worker share failed", K=4)
+        return build_two_qubit(params)
+
+    _cpus(monkeypatch, 2)
+    with pytest.raises(DegenerateStateError) as err:
+        compare_decoupling(builder, [0.0, 10.0], _u1_schedule(), "dfs_pair",
+                           t_end=0.01, mode="open")
+    assert (str(err.value), err.value.K) == ("worker share failed", 4)
+    assert multiprocessing.active_children() == []
+
+
+def test_compare_worker_death_names_g_and_exit_code(monkeypatch):
+    parent = os.getpid()
+
+    def builder(params):
+        if params.g != 0:
+            assert os.getpid() != parent, "g = 10 ran in the calling process"
+            os._exit(3)
+        return build_two_qubit(params)
+
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"g=10 exited with code 3"):
+        compare_decoupling(builder, [0.0, 10.0], _u1_schedule(), "dfs_pair",
+                           t_end=0.01, mode="open")
+    assert multiprocessing.active_children() == []
+
+
+def test_compare_runs_each_distinct_g_once(tmp_path, monkeypatch):
+    built = []
+
+    def builder(params):
+        built.append(params.g)
+        return build_two_qubit(params)
+
+    _cpus(monkeypatch, 1)
+    csv = tmp_path / "cmp.csv"
+    report = compare_decoupling(builder, [0.0, 0.0, 10.0, 0.0], _u1_schedule(),
+                                "dfs_pair", t_end=0.05, mode="open", csv_path=str(csv))
+    assert built == [0, 10]
+    assert report.g_values == (0j, 0j, 10 + 0j, 0j)
+    assert list(report.max_abs_deviation) == [0j, 10 + 0j]
+    header = csv.read_text().split("\n", 1)[0]
+    assert header == "t,abs_y_g=0,abs_y_g=0,abs_y_g=10,abs_y_g=0,dev_g=10"
 
 
 # ---------------------------------------------------------------------------
