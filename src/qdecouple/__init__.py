@@ -34,7 +34,6 @@ from .invariance import (
 )
 from .geometry import (
     LinearVectorField,
-    closure_under_brackets,
     kernel_dy_member,
     vf_bracket,
 )

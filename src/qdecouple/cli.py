@@ -329,7 +329,7 @@ def _cmd_check(cfg: RunConfig) -> int:
 
 def _cmd_dfs(cfg: RunConfig, n_qubits: int) -> int:
     rep = _Report(cfg, f"dfs n_qubits={n_qubits}")
-    rep.add(f"coupling: g={complex(cfg.g):g}")
+    rep.add(f"coupling: g={_g_label(complex(cfg.g))}")
     pairs, _ops = find_dfs_coherences(n_qubits, cfg.env_levels, cfg.tol_invariance,
                                       omega0=cfg.omega0, omega_env=cfg.omega_env,
                                       g=cfg.g)
@@ -410,18 +410,21 @@ def _cmd_compare(cfg: RunConfig, g_list: list[complex], mode: str, feedback: str
         print("compare supports the spin-boson models", file=sys.stderr)
         return 1
     builder = MODEL_BUILDERS[cfg.model]
-    rep = _Report(cfg, f"compare {cfg.model} mode={mode} g={g_list}")
+    g_labels = ",".join(map(_g_label, g_list))
+    rep = _Report(cfg, f"compare {cfg.model} mode={mode} g={g_labels}")
     os.makedirs(cfg.output_dir, exist_ok=True)
     csv_path = os.path.join(cfg.output_dir, out_csv or f"compare_{cfg.model}.csv")
 
-    schedule = _schedule_from_config(cfg, builder(cfg.params()).n_controls)
+    model = builder(cfg.params())
+    schedule = _schedule_from_config(cfg, model.n_controls)
+    xi0 = _initial_state(cfg, model)
     basis_builder = None
     if mode == "closed" and feedback == "least_squares":
         basis_builder = lambda m: build_invariant_basis(m, lift_complement=lift,
                                                         tol=cfg.tol_rank)
     try:
         report = compare_decoupling(
-            builder, g_list, schedule, cfg.state_preset, cfg.t_end, cfg.dt,
+            builder, g_list, schedule, xi0, cfg.t_end, cfg.dt,
             mode=mode, params=cfg.params(), tolerance=cfg.tol_decoupling,
             tol=cfg.tol_rank, norm_guard=cfg.norm_guard, feedback=feedback,
             basis_builder=basis_builder, csv_path=csv_path)

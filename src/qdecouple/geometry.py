@@ -10,7 +10,6 @@ handled separately in :mod:`qdecouple.synthesis`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .operators import (
     Operator,
     OperatorLike,
     commutator,
-    _closure,
 )
 
 __all__ = [
@@ -27,10 +25,7 @@ __all__ = [
     "KernelMembership",
     "vf_bracket",
     "kernel_dy_member",
-    "closure_under_brackets",
 ]
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,27 +78,3 @@ def kernel_dy_member(K: LinearVectorField, C: OperatorLike,
     scale = max(C.norm() * K.generator.norm(), 1e-300)
     return KernelMembership(wnorm <= tol * scale, witness, wnorm / scale)
 
-
-def closure_under_brackets(seeds: Sequence[LinearVectorField],
-                           fields: Sequence[LinearVectorField],
-                           tol: float = DEFAULT_TOL,
-                           depth_cap: int = 12) -> list[LinearVectorField]:
-    """Bracket closure of seed fields under drift/control fields.
-
-    The canonical invariant-distribution candidate when none is supplied:
-    grow span{seeds} by repeated vf_bracket with the given fields until the
-    rank stagnates, on the walk of :func:`~qdecouple.invariance.generate_ctilde`.
-    Returns unit-norm fields in acceptance order, bracket results labelled
-    ``[d,f]``.
-    """
-    def bracket(f: LinearVectorField):
-        n_f = f.generator.norm()
-        return lambda d, d_norm: (vf_bracket(LinearVectorField(d), f).generator,
-                                  2.0 * d_norm * n_f)
-
-    gens, origins, _, _ = _closure([s.generator for s in seeds],
-                                   [bracket(f) for f in fields], depth_cap, tol)
-    labels: list[str] = []
-    for j, k in origins:
-        labels.append(seeds[k].label if j is None else f"[{labels[j]},{fields[k].label}]")
-    return [LinearVectorField(g, lab) for g, lab in zip(gens, labels)]

@@ -10,11 +10,12 @@ runs these checks on one model and returns its decouplability verdict.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import KernelMembership, kernel_dy_member
+from .geometry import KernelMembership, LinearVectorField, kernel_dy_member
 from .models import ModelParams, SystemModel, _coherence, _collective_dephasing
 from .operators import (
     Operator,
@@ -22,7 +23,9 @@ from .operators import (
     TimeOperator,
     commutator,
     Span,
-    _closure,
+    _collect_keys,
+    _IncrementalSpan,
+    vectorize,
 )
 
 __all__ = [
@@ -76,24 +79,53 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
                     tol: float = DEFAULT_TOL) -> OperatorDistribution:
     """Closure of C under repeated control brackets and the drift/clock map.
 
-    `H` and `controls` are skew-Hermitian generators.  Each sweep brackets
-    the generators the previous sweep added (C itself first), and a
-    candidate is added only when its residual against the current
-    orthonormal basis exceeds `tol` (relative to the unit-norm candidate);
-    a sweep that adds nothing terminates the iteration with converged=True.
+    `H` and `controls` are skew-Hermitian generators.  Sweep d brackets each
+    generator accepted in sweep d - 1 (C is sweep 0) once with every
+    control, [T, H_i], and once through the drift map [T, H] + dT/dt.  Pairs
+    from earlier sweeps are not tried again: a rejected candidate changes
+    nothing, and the span and its key columns only grow, so a pair rejected
+    once is rejected again.  Candidates below 1e-12 times the scale of their
+    ingredients are cancellation noise, which normalizing would turn into
+    spurious directions; the rest are normalized and join when their
+    residual against the orthonormal basis exceeds `tol`, relative to their
+    unit norm.  A sweep that adds nothing ends the walk with converged=True.
     """
-    def control(Hi: Operator):
-        n_i = Hi.norm()
-        return lambda T, t_norm: (commutator(T, Hi), 2.0 * t_norm * n_i)
+    span = _IncrementalSpan()
+    keys: list[tuple[float, int]] = []
+    gens: list[OperatorLike] = []
 
-    def drift(T: OperatorLike, t_norm: float):
-        return _drift_step(T, H), t_norm * (2.0 * h_norm + _derivative_bound(T))
+    def add(op: OperatorLike, floor: float):
+        n = op.norm()
+        if n > floor and math.isfinite(n):
+            op = (1.0 / n) * op
+            # the key space grows as brackets generate new t^k e^(i nu t)
+            # families; the rows extend with zeros on them
+            new = [k for k in _collect_keys([op]) if k not in keys]
+            if new:
+                keys.extend(new)
+                span.widen(len(new) * op.dim * op.dim)
+            if span.add(vectorize(op, tuple(keys)), tol) > tol:
+                gens.append(op)
 
-    h_norm = H.norm()
-    gens, _, depth, converged = _closure([C], [control(Hi) for Hi in controls] + [drift],
-                                         depth_cap, tol)
+    add(C, 0.0)
     if not gens:
         raise ValueError("coherence operator is zero")
+    h_norm = H.norm()
+    control_norms = [Hi.norm() for Hi in controls]
+    depth = start = 0
+    converged = False
+    for depth in range(1, depth_cap + 1):
+        before = len(gens)
+        for T in gens[start:before]:
+            t_norm = T.norm()
+            for Hi, n_i in zip(controls, control_norms):
+                add(commutator(T, Hi), 1e-12 * max(1.0, 2.0 * t_norm * n_i))
+            drift_scale = t_norm * (2.0 * h_norm + _derivative_bound(T))
+            add(_drift_step(T, H), 1e-12 * max(1.0, drift_scale))
+        if len(gens) == before:
+            converged = True
+            break
+        start = before
     return OperatorDistribution(generators=gens, rank=len(gens), depth_reached=depth,
                                 converged=converged)
 
@@ -119,17 +151,17 @@ def check_controller_necessary(C: OperatorLike, dist: OperatorDistribution,
                                H_SE: Operator, tol: float = DEFAULT_TOL) -> InvarianceReport:
     """Necessary conditions for decouplability by state feedback.
 
-    Condition 1: [C, H_SE] = 0.  Condition 2: every [T, H_SE] for T in the
-    closure stays inside the closure's span.  When both hold and moreover
-    every [T, H_SE] vanishes, the map is already invariant in open loop.
+    Condition 1: [C, H_SE] = 0, the interaction field in ker(dy).  Condition
+    2: every [T, H_SE] for T in the closure stays inside the closure's span.
+    When both hold and moreover every [T, H_SE] vanishes, the map is already
+    invariant in open loop.  `H_SE` is a skew-Hermitian generator.
     """
-    h_norm = H_SE.norm()
-    r1_op = commutator(C, H_SE)
-    r1 = r1_op.norm() / max(C.norm() * h_norm, 1e-300)
-    if r1 > tol:
-        return InvarianceReport("necessary_failed", r1_op, (r1,))
+    kernel = kernel_dy_member(LinearVectorField(H_SE), C, tol)
+    if not kernel.member:
+        return InvarianceReport("necessary_failed", kernel.witness, (kernel.residual,))
 
-    residuals = [r1]
+    h_norm = H_SE.norm()
+    residuals = [kernel.residual]
     sufficient = True
     span = None  # factored when the first generator fails to commute
     for T in dist.generators:

@@ -108,9 +108,6 @@ class SystemModel:
     def n_controls(self) -> int:
         return len(self.controls)
 
-    def drift_field(self) -> LinearVectorField:
-        return LinearVectorField(self.drift, "K0")
-
     def control_fields(self) -> list[LinearVectorField]:
         return [LinearVectorField(op, f"K{i + 1}:{op.label}")
                 for i, op in enumerate(self.controls)]

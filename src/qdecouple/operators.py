@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -476,7 +476,9 @@ class Span:
 
 
 class _IncrementalSpan:
-    """Orthonormal rows grown in order by Gram-Schmidt accept/reject.
+    """Orthonormal rows grown in order by Gram-Schmidt accept/reject: the
+    span of the closure walk in `invariance.generate_ctilde` and of the
+    field selection in `synthesis.FeedbackSynthesizer.sample`.
 
     A second projection only shrinks a residual, so a vector at or below the
     cutoff is rejected on the first.  One classical pass loses orthogonality
@@ -519,56 +521,6 @@ class _IncrementalSpan:
             self._buf[n] = v / rn
             self.rows = self._buf[:n + 1]
         return rn
-
-
-def _closure(seeds: Sequence[OperatorLike], brackets: Sequence[Callable],
-             depth_cap: int, tol: float):
-    """Smallest bracket-closed family containing `seeds`, as unit-norm generators.
-
-    Sweep d applies every bracket, `(T, |T|) -> (candidate, scale of its
-    ingredients)`, to the generators accepted in sweep d - 1 (the seeds are
-    sweep 0).  Pairs from earlier sweeps are not tried again: a rejected
-    candidate changes nothing, and the span and its key columns only grow,
-    so a pair rejected once is rejected again.  Candidates below 1e-12
-    times their scale are cancellation noise, which normalizing would turn
-    into spurious directions; the rest are normalized, so the rank cutoff
-    `tol` is relative to their unit norm.  Returns (generators,
-    origins, depth, converged); origins[i] is (None, s) for seed s and (j, k)
-    for bracket k applied to generator j.
-    """
-    span = _IncrementalSpan()
-    keys: list[tuple[float, int]] = []
-    gens: list[OperatorLike] = []
-    origins: list[tuple[Optional[int], int]] = []
-
-    def add(op: OperatorLike, floor: float, origin: tuple[Optional[int], int]):
-        n = op.norm()
-        if n > floor and np.isfinite(n):
-            op = (1.0 / n) * op
-            # the key space grows as brackets generate new t^k e^(i nu t)
-            # families; the rows extend with zeros on them
-            new = [k for k in _collect_keys([op]) if k not in keys]
-            if new:
-                keys.extend(new)
-                span.widen(len(new) * op.dim * op.dim)
-            if span.add(vectorize(op, tuple(keys)), tol) > tol:
-                gens.append(op)
-                origins.append(origin)
-
-    for s, seed in enumerate(seeds):
-        add(seed, 0.0, (None, s))
-    depth = start = 0
-    for depth in range(1, depth_cap + 1):
-        before = len(gens)
-        for j in range(start, before):
-            t_norm = gens[j].norm()
-            for k, bracket in enumerate(brackets):
-                cand, scale = bracket(gens[j], t_norm)
-                add(cand, 1e-12 * max(1.0, scale), (j, k))
-        if len(gens) == before:
-            return gens, origins, depth, True
-        start = before
-    return gens, origins, depth, False
 
 
 def span_membership(target, basis: Sequence, tol: float = 1e-9) -> MembershipResult:

@@ -250,7 +250,7 @@ def test_dfs_honours_g(tmp_path, capsys):
     code = run_command(["dfs", "--qubits", "2", "--g", "0", "--output-dir", str(tmp_path)])
     assert code == 0
     report = (tmp_path / "dfs_2q.txt").read_text()
-    assert "coupling: g=0+0j" in report
+    assert "coupling: g=0\n" in report
     assert "protected coherence pairs (16 total, 12 off-diagonal):" in report
 
 
@@ -310,6 +310,34 @@ def test_compare_labels_complex_g_in_full(tmp_path, capsys):
             in out)
     header = (tmp_path / "compare_two_qubit.csv").read_text().split("\n", 1)[0]
     assert header == "t,abs_y_g=0,abs_y_g=0+10j,abs_y_g=10,dev_g=0+10j,dev_g=10"
+    title = (tmp_path / "compare_report.txt").read_text().splitlines()[1]
+    assert title == "report: compare two_qubit mode=open g=0,0+10j,10"
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_configured_initial_state_is_where_the_run_starts(tmp_path, capsys, command):
+    # e_0 = |00>|0> carries no coherence; the dfs_pair preset starts at 0.5
+    amplitudes = ", ".join(["1"] + ["0"] * 11)
+    cfg = _write(tmp_path, f"[initial_state]\namplitudes = {amplitudes}\n")
+    code = run_command(["--config", cfg, command, "--model", "two_qubit", "--mode", "open",
+                        "--g", "0",
+                        "--t-end", "0.05", "--out", "run.csv",
+                        "--output-dir", str(tmp_path)])
+    assert code == 0
+    header, first = (tmp_path / "run.csv").read_text().splitlines()[:2]
+    column = "abs_y" if command == "simulate" else "abs_y_g=0"
+    assert float(first.split(",")[header.split(",").index(column)]) == 0.0
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_wrong_size_initial_state_is_a_config_error(tmp_path, capsys, command):
+    cfg = _write(tmp_path, "[initial_state]\namplitudes = 1, 0\n")
+    code = run_command(["--config", cfg, command, "--model", "two_qubit", "--mode", "open",
+                        "--output-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == "config error: initial state needs 12 amplitudes, got 2\n"
+    assert out == ""
 
 
 def test_compare_protective_passes(tmp_path, capsys):

@@ -8,7 +8,6 @@ from qdecouple import (
     LinearVectorField,
     Operator,
     build_one_qubit,
-    closure_under_brackets,
     commutator,
     decide,
     generate_ctilde,
@@ -136,7 +135,7 @@ def test_open_loop_collective_dephasing_closure(two_qubit_model):
     # candidate = bracket closure of {K_I} under the drift, no controls;
     # oracle: independent BFS closure with an SVD rank check
     m = two_qubit_model
-    delta = closure_under_brackets([m.interaction_field()], [m.drift_field()])
+    delta = generate_ctilde(m.interaction, m.drift, [])
 
     mats = [m.interaction.matrix]
     frontier = [m.interaction.matrix]
@@ -154,7 +153,7 @@ def test_open_loop_collective_dephasing_closure(two_qubit_model):
     stacked = np.stack([mm.ravel() / np.linalg.norm(mm) for mm in mats])
     s = np.linalg.svd(stacked, compute_uv=False)
     oracle_rank = int((s > 1e-9 * s[0]).sum())
-    assert len(delta) == oracle_rank
+    assert delta.converged and delta.rank == oracle_rank
 
     # without controls the protected coherence is immune in open loop
     decision = decide(replace(m, controls=()))
@@ -187,36 +186,24 @@ def _rank_closure_oracle(seeds, fields, cutoff=1e-9, depth=12):
 
 def test_closure_with_controls_matches_svd_oracle(two_qubit_model):
     m = two_qubit_model
-    fields = [m.drift_field()] + m.control_fields()
-    delta = closure_under_brackets([m.interaction_field()], fields)
-    oracle = _rank_closure_oracle([m.interaction.matrix], [f.generator.matrix for f in fields])
+    delta = generate_ctilde(m.interaction, m.drift, list(m.controls))
+    oracle = _rank_closure_oracle([m.interaction.matrix],
+                                  [g.matrix for g in (m.drift, *m.controls)])
     assert oracle == 12
-    assert len(delta) == oracle
+    assert delta.rank == oracle
 
 
-def test_closure_matches_generate_ctilde_rank(restructured_model):
+def test_restructured_interaction_closure_rank(restructured_model):
     m = restructured_model
-    fields = [m.drift_field()] + m.control_fields()
-    delta = closure_under_brackets([m.interaction_field()], fields)
     dist = generate_ctilde(m.interaction, m.drift, list(m.controls))
     assert dist.rank == 143
-    assert len(delta) == dist.rank
 
 
-def test_closure_fields_unit_norm_and_labelled(two_qubit_model):
+def test_interaction_closure_generators_unit_norm(two_qubit_model):
     m = two_qubit_model
-    fields = [m.drift_field()] + m.control_fields()
-    delta = closure_under_brackets([m.interaction_field()], fields)
-    field_labels = {f.label for f in fields}
-    assert delta[0].label == "K_I"
-    labels = {"K_I"}
-    for d in delta:
-        assert d.generator.norm() == pytest.approx(1.0, abs=1e-12)
-    for d in delta[1:]:
-        inner, _, outer = d.label[1:-1].rpartition(",")
-        assert d.label.startswith("[") and d.label.endswith("]")
-        assert inner in labels and outer in field_labels
-        labels.add(d.label)
+    delta = generate_ctilde(m.interaction, m.drift, list(m.controls))
+    for g in delta.generators:
+        assert g.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +273,8 @@ def test_pointwise_membership_follows_generator_membership(rng):
         assert not all(p.is_member for p in pointwise)
 
 
-def test_closure_rejects_seeds_of_different_dimensions():
+def test_closure_rejects_controls_of_different_dimensions():
     D2 = Operator(-1j * np.diag([1.0, 2.0]).astype(complex), "skew_hermitian")
     D3 = Operator(-1j * np.diag([1.0, 2.0, 3.0]).astype(complex), "skew_hermitian")
     with pytest.raises(DimensionMismatchError):
-        closure_under_brackets([_field(D2, "a"), _field(D3, "b")], [_field(D2, "a")])
+        generate_ctilde(Operator(np.diag([1.0, -1.0]).astype(complex)), D2, [D3])

@@ -10,12 +10,13 @@ from qdecouple import (
     build_two_qubit,
     check_controller_necessary,
     check_open_loop_invariance,
+    commutator,
     find_dfs_coherences,
     generate_ctilde,
     invariance,
     make_primitive,
 )
-from qdecouple.operators import TimeTerm, _closure, _collect_keys, _IncrementalSpan, vectorize
+from qdecouple.operators import TimeTerm, _collect_keys, _IncrementalSpan, vectorize
 
 
 # ---------------------------------------------------------------------------
@@ -70,16 +71,17 @@ def test_ctilde_rank_independent_of_control_order(two_qubit_model):
         assert alt.rank == base.rank
 
 
-def _full_walk(seeds, brackets, depth_cap, tol):
+def _full_walk(C, H, controls, depth_cap, tol=1e-9):
     """The closure walk before the frontier rule: every sweep brackets every
     generator held at its start, so each pair is tried again in every later
-    sweep.  The accept rule and the origins are those of `_closure`."""
+    sweep.  The brackets, noise floor and accept rule are those of
+    `generate_ctilde`."""
     span = _IncrementalSpan()
     keys = []
     largest = 0.0
-    gens, origins = [], []
+    gens = []
 
-    def add(op, floor, origin):
+    def add(op, floor):
         nonlocal largest
         n = op.norm()
         if n > floor and np.isfinite(n):
@@ -93,31 +95,21 @@ def _full_walk(seeds, brackets, depth_cap, tol):
             cutoff = tol * largest
             if span.add(v, cutoff) > cutoff:
                 gens.append(op)
-                origins.append(origin)
 
-    for s, seed in enumerate(seeds):
-        add(seed, 0.0, (None, s))
+    add(C, 0.0)
+    h_norm = H.norm()
     depth = 0
     for depth in range(1, depth_cap + 1):
         before = len(gens)
-        for j in range(before):
-            t_norm = gens[j].norm()
-            for k, bracket in enumerate(brackets):
-                cand, scale = bracket(gens[j], t_norm)
-                add(cand, 1e-12 * max(1.0, scale), (j, k))
+        for T in gens[:before]:
+            t_norm = T.norm()
+            for Hi in controls:
+                add(commutator(T, Hi), 1e-12 * max(1.0, 2.0 * t_norm * Hi.norm()))
+            drift_scale = t_norm * (2.0 * h_norm + invariance._derivative_bound(T))
+            add(invariance._drift_step(T, H), 1e-12 * max(1.0, drift_scale))
         if len(gens) == before:
-            return gens, origins, depth, True
-    return gens, origins, depth, False
-
-
-def _closure_args(model, depth_cap, monkeypatch):
-    """The (seeds, brackets, depth_cap, tol) that generate_ctilde hands the walk."""
-    seen = []
-    with monkeypatch.context() as patch:
-        patch.setattr(invariance, "_closure", lambda *args: seen.append(args) or _closure(*args))
-        generate_ctilde(model.coherence_op, model.drift, list(model.controls),
-                        depth_cap=depth_cap)
-    return seen[0]
+            return gens, depth, True
+    return gens, depth, False
 
 
 def _generator_bytes(op):
@@ -128,33 +120,32 @@ def _generator_bytes(op):
 
 @pytest.mark.parametrize("name", ["two_qubit_model", "restructured_model"])
 def test_closure_brackets_each_pair_once(name, request, monkeypatch):
-    seeds, brackets, depth_cap, tol = _closure_args(request.getfixturevalue(name), 12,
-                                                    monkeypatch)
+    model = request.getfixturevalue(name)
     calls = 0
 
-    def counted(bracket):
-        def call(T, t_norm):
-            nonlocal calls
-            calls += 1
-            return bracket(T, t_norm)
-        return call
+    def counted(A, B):
+        nonlocal calls
+        calls += 1
+        return commutator(A, B)
 
-    gens, _, _, converged = _closure(seeds, [counted(b) for b in brackets], depth_cap, tol)
-    assert converged
-    assert calls == len(gens) * len(brackets)
+    monkeypatch.setattr(invariance, "commutator", counted)
+    dist = generate_ctilde(model.coherence_op, model.drift, list(model.controls))
+    assert dist.converged
+    assert calls == dist.rank * (len(model.controls) + 1)
 
 
-def test_frontier_walk_matches_full_walk(two_qubit_model, restructured_model, monkeypatch):
+def test_frontier_walk_matches_full_walk(two_qubit_model, restructured_model):
     cases = [(build_one_qubit(), cap) for cap in range(1, 7)]
     cases += [(two_qubit_model, cap) for cap in range(1, 7)]
     cases += [(build_electrooptic(), cap) for cap in range(1, 5)]
     cases += [(restructured_model, 12)]
     for model, depth_cap in cases:
-        args = _closure_args(model, depth_cap, monkeypatch)
-        gens, origins, depth, converged = _closure(*args)
-        ref_gens, ref_origins, ref_depth, ref_converged = _full_walk(*args)
-        assert [_generator_bytes(g) for g in gens] == [_generator_bytes(g) for g in ref_gens]
-        assert (origins, depth, converged) == (ref_origins, ref_depth, ref_converged)
+        args = (model.coherence_op, model.drift, list(model.controls), depth_cap)
+        dist = generate_ctilde(*args)
+        ref_gens, ref_depth, ref_converged = _full_walk(*args)
+        assert [_generator_bytes(g) for g in dist.generators] == \
+            [_generator_bytes(g) for g in ref_gens]
+        assert (dist.depth_reached, dist.converged) == (ref_depth, ref_converged)
 
 
 def _restrict_time_op(T: TimeOperator, proj: np.ndarray) -> TimeOperator:
