@@ -23,7 +23,6 @@ from .operators import (
     TimeOperator,
     commutator,
     Span,
-    _collect_keys,
     _IncrementalSpan,
     vectorize,
 )
@@ -69,9 +68,7 @@ def _drift_step(T: OperatorLike, H: Operator) -> OperatorLike:
 
 
 def _derivative_bound(T: OperatorLike) -> float:
-    if isinstance(T, TimeOperator):
-        return max((abs(nu) + p for nu, p in T.families), default=0.0)
-    return 0.0
+    return max((abs(nu) + p for nu, p in T.families), default=0.0)
 
 
 def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
@@ -100,7 +97,7 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
             op = (1.0 / n) * op
             # the key space grows as brackets generate new t^k e^(i nu t)
             # families; the rows extend with zeros on them
-            new = [k for k in _collect_keys([op]) if k not in keys]
+            new = [k for k in sorted(op.families) if k not in keys]
             if new:
                 keys.extend(new)
                 span.widen(len(new) * op.dim * op.dim)
@@ -238,8 +235,8 @@ def find_dfs_coherences(n_qubits: int, env_levels: int = 3, tol: float = DEFAULT
     Fixes the collective model: all qubits couple to one truncated mode
     through the sum of their z operators; no controls.  Each candidate
     |i><j| is closed under the drift map and tested against the interaction.
-    Returns lexicographically sorted bit-string pairs and the surviving
-    projector operators.
+    Returns the bit-string pairs, lexicographically sorted as enumerated,
+    and the surviving projector operators.
     """
     _check_dfs_qubits(n_qubits)
     params = ModelParams(omega0=omega0, omega_env=omega_env, g=g, env_levels=env_levels)
@@ -257,5 +254,4 @@ def find_dfs_coherences(n_qubits: int, env_levels: int = 3, tol: float = DEFAULT
             if report.verdict == "invariant":
                 pairs.append((wi, wj))
                 ops.append(C)
-    order = sorted(range(len(pairs)), key=lambda k: pairs[k])
-    return [pairs[k] for k in order], [ops[k] for k in order]
+    return pairs, ops

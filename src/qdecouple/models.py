@@ -22,6 +22,7 @@ Models:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -68,6 +69,10 @@ class ModelParams:
     env_levels: int = 3          # bosonic truncation
 
     def __post_init__(self):
+        try:
+            operator.index(self.env_levels)
+        except TypeError:
+            raise ValueError(f"env_levels must be an integer, got {self.env_levels!r}") from None
         if self.env_levels < 2:
             raise ValueError(f"env_levels must be >= 2, got {self.env_levels}")
         for name in ("omega0", "omega_env", "j1", "j2"):

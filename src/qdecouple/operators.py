@@ -13,12 +13,15 @@ Conventions
 * Time-dependent operators are finite sums  sum_k  t^p_k * e^(i nu_k t) * M_k,
   with one matrix per (nu, p) family.  This family is closed under
   differentiation and products, so identities can be checked by exact
-  coefficient comparison instead of sampling.
+  coefficient comparison instead of sampling.  A constant operator is its
+  single (0, 0) family, so brackets, spans and vectorization read both
+  operator types through `families`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -101,6 +104,7 @@ class Operator:
 
     `==` and `hash` are by identity, as for TimeTerm and TimeOperator: a
     value comparison of matrices needs a tolerance, which `==` cannot take.
+    `families` reads it as a TimeOperator's single (0, 0) family.
     """
 
     matrix: np.ndarray
@@ -132,6 +136,10 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def families(self) -> Mapping[tuple[float, int], np.ndarray]:
+        return MappingProxyType({(0.0, 0): self.matrix})
 
     def norm(self) -> float:
         return opnorm(self.matrix)
@@ -192,13 +200,17 @@ class TimeTerm:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("term matrix must be square")
-        if self.power < 0:
+        try:
+            power = operator.index(self.power)
+        except TypeError:
+            power = -1  # not an integer: rejected below with the negative powers
+        if power < 0:
             raise ValueError("power must be a non-negative integer")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         object.__setattr__(self, "frequency", float(self.frequency))
-        object.__setattr__(self, "power", int(self.power))
+        object.__setattr__(self, "power", power)
 
     @property
     def key(self) -> tuple[float, int]:
@@ -367,13 +379,11 @@ def commutator(A: OperatorLike, B: OperatorLike) -> OperatorLike:
         _require_same_dim(A, B)
         m = A.matrix @ B.matrix - B.matrix @ A.matrix
         return Operator(m, _commutator_flag(A.hermiticity, B.hermiticity))
-    ta = A if isinstance(A, TimeOperator) else TimeOperator.constant(A)
-    tb = B if isinstance(B, TimeOperator) else TimeOperator.constant(B)
-    _require_same_dim(ta, tb)
+    _require_same_dim(A, B)
     return TimeOperator._from_parts(
         (((round(nu_x + nu_y, FREQ_DECIMALS), p_x + p_y), x @ y - y @ x)
-         for (nu_x, p_x), x in ta.families.items() for (nu_y, p_y), y in tb.families.items()),
-        ta.dim)
+         for (nu_x, p_x), x in A.families.items() for (nu_y, p_y), y in B.families.items()),
+        A.dim)
 
 
 def matrix_exponential(A: Operator) -> Operator:
@@ -399,10 +409,7 @@ def matrix_exponential(A: Operator) -> Operator:
 def _collect_keys(ops: Iterable[OperatorLike]) -> tuple[tuple[float, int], ...]:
     keys: set[tuple[float, int]] = set()
     for op in ops:
-        if isinstance(op, TimeOperator):
-            keys.update(op.families)
-        else:
-            keys.add((0.0, 0))
+        keys.update(((0.0, 0),) if isinstance(op, np.ndarray) else op.families)
     return tuple(sorted(keys))
 
 
@@ -411,8 +418,6 @@ def vectorize(op: OperatorLike | np.ndarray,
     """Flatten onto the coefficient-family key space so spans can be compared."""
     if isinstance(op, np.ndarray):
         return op.ravel().astype(complex)
-    if isinstance(op, Operator):
-        op = TimeOperator.constant(op)
     missing = set(op.families) - set(keys)
     if missing:
         raise ValueError(f"operator has coefficient families {missing} outside the key space")

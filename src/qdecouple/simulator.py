@@ -86,6 +86,8 @@ class ControlSchedule:
         vals = np.asarray(values, dtype=float)
         if bp.ndim != 1 or np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
+        if vals.ndim != 2:
+            raise ValueError(f"values must be a (segments, channels) array, got shape {vals.shape}")
         if vals.shape[0] != bp.size + 1:
             raise ValueError("need one value row per segment (len(breakpoints)+1)")
 

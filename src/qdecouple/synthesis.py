@@ -30,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .models import SystemModel, _environment_powers
-from .operators import _PAULI, Operator, Span, _IncrementalSpan, _numerical_rank, opnorm
+from .operators import (_PAULI, Operator, Span, _IncrementalSpan, _numerical_rank, commutator,
+                        opnorm)
 
 __all__ = [
     "DegenerateStateError",
@@ -172,8 +173,7 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
 
     C = model.coherence_op
     c_scale = max(C.norm(), 1.0)
-    coherence_check = np.array(
-        [opnorm(delta.matrix @ C.matrix - C.matrix @ delta.matrix) for delta in delta_ops])
+    coherence_check = np.array([commutator(delta, C).norm() for delta in delta_ops])
     worst = coherence_check.max(initial=0.0)
     if worst > 1e-12 * c_scale * max(opnorm(d.matrix) for d in delta_ops):
         idx = int(np.argmax(coherence_check))
@@ -185,9 +185,6 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
     delta_list = list(delta_ops)
     table: dict[str, float] = {"delta_delta": 0.0, "delta_g": 0.0,
                                "delta_d": 0.0, "d_g": 0.0}
-
-    def _bracket(a: Operator, b: Operator) -> Operator:
-        return Operator(a.matrix @ b.matrix - b.matrix @ a.matrix)
 
     def _checked_span(basis_ops: list[Operator]) -> tuple[Span, float]:
         # brackets below this norm are taken as zero, not tested
@@ -210,17 +207,17 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
     in_g = _checked_span(ctrl_ops)
     for i, da in enumerate(delta_list):
         for db in delta_list[i + 1:]:
-            _must_lie_in("delta_delta", _bracket(da, db), in_delta,
+            _must_lie_in("delta_delta", commutator(da, db), in_delta,
                          f"[{da.label}, {db.label}]")
         for g in ctrl_ops:
-            _must_lie_in("delta_g", _bracket(da, g), in_delta_g,
+            _must_lie_in("delta_g", commutator(da, g), in_delta_g,
                          f"[{da.label}, {g.label}]")
         for d in complement_ops:
-            _must_lie_in("delta_d", _bracket(da, d), in_delta,
+            _must_lie_in("delta_d", commutator(da, d), in_delta,
                          f"[{da.label}, {d.label}]")
     for d in complement_ops:
         for g in ctrl_ops:
-            _must_lie_in("d_g", _bracket(d, g), in_g,
+            _must_lie_in("d_g", commutator(d, g), in_g,
                          f"[{d.label}, {g.label}]")
 
     return InvariantBasis(

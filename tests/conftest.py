@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdecouple import ModelParams, build_restructured, build_two_qubit
+from qdecouple import ModelParams, TimeOperator, build_restructured, build_two_qubit
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +31,16 @@ def random_state(rng, dim):
 
 def random_matrix(rng, dim, scale=1.0):
     return scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+
+def count_time_operators(monkeypatch):
+    """Labels of every TimeOperator built from here on, through its one setter."""
+    built = []
+    original = TimeOperator._set
+
+    def counted(self, parts, dim, label):
+        built.append(label)
+        original(self, parts, dim, label)
+
+    monkeypatch.setattr(TimeOperator, "_set", counted)
+    return built

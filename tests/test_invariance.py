@@ -17,6 +17,7 @@ from qdecouple import (
     make_primitive,
 )
 from qdecouple.operators import TimeTerm, _collect_keys, _IncrementalSpan, vectorize
+from conftest import count_time_operators
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +133,15 @@ def test_closure_brackets_each_pair_once(name, request, monkeypatch):
     dist = generate_ctilde(model.coherence_op, model.drift, list(model.controls))
     assert dist.converged
     assert calls == dist.rank * (len(model.controls) + 1)
+
+
+def test_constant_closure_builds_no_time_operator(restructured_model, monkeypatch):
+    # a constant operator is read through its own families, never converted
+    m = restructured_model
+    built = count_time_operators(monkeypatch)
+    dist = generate_ctilde(m.coherence_op, m.drift, list(m.controls))
+    assert dist.rank > 100
+    assert built == []
 
 
 def test_frontier_walk_matches_full_walk(two_qubit_model, restructured_model):
@@ -333,6 +343,17 @@ def test_dfs_hamming_weight_law(n):
     expected = {(a, b) for a in words for b in words
                 if a.count("1") == b.count("1")}
     assert set(pairs) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dfs_pairs_come_in_lexicographic_order_with_their_projectors(n):
+    pairs, ops = find_dfs_coherences(n)
+    assert pairs == sorted(pairs)
+    assert len(ops) == len(pairs)
+    for (ket, bra), op in zip(pairs, ops):
+        proj = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        proj[int(ket, 2), int(bra, 2)] = 1.0
+        assert np.array_equal(op.matrix, np.kron(proj, np.eye(op.dim // 2 ** n)))
 
 
 def test_dfs_guard_range():

@@ -75,6 +75,10 @@ def test_params_validation():
         ModelParams(env_levels=1)
     with pytest.raises(ValueError):
         ModelParams(omega0=float("inf"))
+    for levels in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="env_levels must be an integer"):
+            ModelParams(env_levels=levels)
+    assert build_two_qubit(ModelParams(env_levels=np.int64(3))).layout.total_dim == 12
 
 
 def test_electrooptic_requires_three_levels():

@@ -3,17 +3,20 @@ import pytest
 
 from qdecouple import (
     DimensionMismatchError,
+    ModelParams,
     Operator,
     TensorLayout,
     TimeOperator,
     TimeTerm,
     bilinear_form,
+    build_electrooptic,
     commutator,
     kron_embed,
     make_primitive,
     matrix_exponential,
     span_membership,
 )
+from qdecouple.operators import _collect_keys, vectorize
 from conftest import random_matrix, random_state
 
 SQ2 = np.sqrt(2.0)
@@ -470,3 +473,56 @@ def test_time_operator_rejects_mixed_dimensions():
     with pytest.raises(DimensionMismatchError):
         TimeOperator((TimeTerm(np.eye(2, dtype=complex)),
                       TimeTerm(np.eye(3, dtype=complex))))
+
+
+def test_time_term_rejects_a_non_integer_power():
+    m = np.eye(2, dtype=complex)
+    for power in (1.5, 2.0, -1, "1"):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            TimeTerm(m, power=power)
+    term = TimeTerm(m, power=np.int64(2))
+    assert term.power == 2 and type(term.power) is int
+
+
+# a constant Operator is its single (0, 0) family
+
+def test_operator_families_is_its_one_constant_family():
+    op = Operator(random_matrix(np.random.default_rng(105), 3))
+    assert list(op.families) == [(0.0, 0)]
+    assert op.families[(0.0, 0)] is op.matrix
+    with pytest.raises(TypeError):
+        op.families[(1.0, 0)] = op.matrix
+    with pytest.raises(AttributeError):
+        op.families = {}
+
+
+def _same_families(x, y):
+    assert list(x.families) == list(y.families)
+    assert all(np.array_equal(x.families[k], y.families[k]) for k in x.families)
+
+
+def _assert_read_as_constant(op, partners, keys):
+    const = TimeOperator.constant(op)
+    assert _collect_keys([op]) == _collect_keys([const]) == ((0.0, 0),)
+    assert np.array_equal(vectorize(op, keys), vectorize(const, keys))
+    for other in partners:
+        assert _collect_keys([op, other]) == _collect_keys([const, other])
+        _same_families(commutator(op, other), commutator(const, other))
+        _same_families(commutator(other, op), commutator(other, const))
+
+
+def test_constant_operator_reads_like_its_time_operator_constant():
+    rng = np.random.default_rng(106)
+    for _ in range(10):
+        op, other = Operator(random_matrix(rng, 3)), Operator(random_matrix(rng, 3))
+        timed = TimeOperator(_random_terms(rng, 6))
+        _assert_read_as_constant(op, [other, timed], tuple(sorted(FAMILIES)))
+
+
+def test_electrooptic_operators_read_like_their_time_operator_constants():
+    model = build_electrooptic(n_sys=10, params=ModelParams(g=1.0))
+    C, (control,), h_se = model.coherence_op, model.controls, model.interaction
+    keys = _collect_keys([C, control])
+    assert len(keys) == 3
+    for op, partners in [(control, [C, h_se]), (h_se, [C, control])]:
+        _assert_read_as_constant(op, partners, keys)

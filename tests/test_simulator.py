@@ -2,6 +2,7 @@ import functools
 import multiprocessing
 import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,10 @@ def test_schedule_validation():
         ControlSchedule.piecewise_constant([2.0, 1.0], [[0.0], [1.0], [2.0]])
     with pytest.raises(ValueError):
         ControlSchedule.piecewise_constant([1.0], [[0.0]])
+    # values are one (segments, channels) array
+    for values in ([1.0, 2.0], [[[1.0]], [[2.0]]]):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(values)}")):
+            ControlSchedule.piecewise_constant([1.0], values)
 
 
 # ---------------------------------------------------------------------------

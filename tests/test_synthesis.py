@@ -19,7 +19,7 @@ from qdecouple import (
 from qdecouple import synthesis
 from qdecouple.operators import _IncrementalSpan, _numerical_rank
 from qdecouple.synthesis import FeedbackSynthesizer, ProtectiveSynthesizer
-from conftest import random_state
+from conftest import count_time_operators, random_state
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,16 @@ def test_lifted_complement_variant(restructured_model):
     lifted = build_invariant_basis(restructured_model, lift_complement=True)
     assert len(lifted.complement_ops) == 9
     assert lifted.lifted_complement
+
+
+@pytest.mark.parametrize("lift", [False, True])
+def test_basis_validation_builds_no_time_operator(restructured_model, lift, monkeypatch):
+    # the table's brackets and span tests read each constant operator
+    # through its own families, never converting it
+    built = count_time_operators(monkeypatch)
+    basis = build_invariant_basis(restructured_model, lift_complement=lift)
+    assert len(basis.complement_ops) == (9 if lift else 3)
+    assert built == []
 
 
 def test_basis_rejects_wrong_model(two_qubit_model):
