@@ -22,6 +22,7 @@ Models:
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Union
@@ -75,11 +76,11 @@ class ModelParams:
             raise ValueError(f"env_levels must be an integer, got {self.env_levels!r}") from None
         if self.env_levels < 2:
             raise ValueError(f"env_levels must be >= 2, got {self.env_levels}")
-        for name in ("omega0", "omega_env", "j1", "j2"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"parameter {name} must be finite")
-        for name in ("g", "w"):
-            if not np.isfinite(complex(getattr(self, name))):
+        for name in ("omega0", "omega_env", "j1", "j2", "g", "w"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Complex):
+                raise ValueError(f"parameter {name} must be a number, got {value!r}")
+            if not np.isfinite(complex(value)):
                 raise ValueError(f"parameter {name} must be finite")
 
 

@@ -6,9 +6,10 @@ state norm and the applied controls at each grid point, and aborts through
 the norm guard any run whose state norm drifts beyond the configured
 budget; `_propagate` collects that stream into a `Trajectory`.  At each grid
 point the loop asks a step rule for the applied control and the next state:
-fixed-step classical fourth-order integration (`_rk4`) for the open loop,
-u = v(t), and the closed loop, u = alpha(xi) + beta(xi) v(t) with the
-feedback re-synthesized at every stage; or a cached per-segment matrix
+stage-wise classical fourth-order integration (`_rk4`) for a sinusoidal open
+loop, u = v(t), and the closed loop, u = alpha(xi) + beta(xi) v(t) with the
+feedback synthesized per stage state; or one cached step matrix per drive
+value (`_propagator_step`): RK4's for a (piecewise-)constant open loop, the
 exponential for the exact cross-check.  A (piecewise-)constant drive v is
 frozen over each step, so every run is deterministic and reproducible.
 """
@@ -69,7 +70,7 @@ class ControlSchedule:
 
     @classmethod
     def constant(cls, values: Sequence[float]) -> "ControlSchedule":
-        v = np.asarray(values, dtype=float)
+        v = _channel_row(values, "values")
         return cls("constant", v.size, lambda t: v)
 
     @classmethod
@@ -99,9 +100,9 @@ class ControlSchedule:
     @classmethod
     def sinusoidal(cls, amplitudes: Sequence[float], frequencies: Sequence[float],
                    phases: Optional[Sequence[float]] = None) -> "ControlSchedule":
-        a = np.asarray(amplitudes, dtype=float)
-        w = np.asarray(frequencies, dtype=float)
-        p = np.zeros_like(a) if phases is None else np.asarray(phases, dtype=float)
+        a = _channel_row(amplitudes, "amplitudes")
+        w = _channel_row(frequencies, "frequencies")
+        p = np.zeros_like(a) if phases is None else _channel_row(phases, "phases")
         if not (a.size == w.size == p.size):
             raise ValueError("amplitudes, frequencies, phases must share length")
         return cls("sinusoidal", a.size, lambda t: a * np.sin(w * t + p))
@@ -111,6 +112,14 @@ class ControlSchedule:
         if u.size != self.n_channels:
             raise ValueError("schedule returned wrong channel count")
         return u
+
+
+def _channel_row(values: Sequence[float], name: str) -> np.ndarray:
+    """`values` as a float row, one entry per channel."""
+    row = np.asarray(values, dtype=float)
+    if row.ndim != 1:
+        raise ValueError(f"{name} must be one value per channel, got shape {row.shape}")
+    return row
 
 
 @dataclass(eq=False)
@@ -222,16 +231,16 @@ def _grid_size(t_end: float, dt: float) -> int:
     return steps + 1
 
 
-def _propagate(model: SystemModel, t_end: float, dt: float, mode: str,
+def _propagate(model: SystemModel, t_end: float, dt: float, mode: str, stats: dict,
                points) -> Trajectory:
-    """Collects a stream of `_points` into a Trajectory, whose arrays are
-    fields of one record table sized to the grid up front."""
+    """Collects a stream of `_points` into a Trajectory, whose arrays are fields
+    of one record table sized to the grid up front, with the rule's `stats`."""
     table = np.fromiter(points, [("t", float), ("state", complex, (model.dim,)),
                                  ("y", complex), ("norm", float),
                                  ("u", float, (model.n_controls,))],
                         count=_grid_size(t_end, dt))
     return Trajectory(table["t"], table["state"], table["y"], table["norm"], table["u"],
-                      {"mode": mode, "dt": dt, "model": model.name})
+                      {"mode": mode, "dt": dt, "model": model.name, **stats})
 
 
 def _rk4(static: np.ndarray, ctrl: np.ndarray, schedule: ControlSchedule, dt: float,
@@ -242,10 +251,9 @@ def _rk4(static: np.ndarray, ctrl: np.ndarray, schedule: ControlSchedule, dt: fl
     (piecewise-)constant drive is frozen at its value at the step start, so
     the stage at t + dt cannot leak the next segment's value into the
     current step; other drives are evaluated at each stage time.  The
-    control field sum_i u_i ctrl_i is formed once per drive value: once a
-    step for a frozen drive, once for the two midpoint stages of any other
-    open-loop drive, and at every stage in closed loop, where u follows the
-    state.
+    control field sum_i u_i ctrl_i is formed once for the two midpoint
+    stages of an open-loop drive, and at every stage in closed loop, where
+    u follows the state.
     """
     frozen = schedule.kind in ("constant", "piecewise_constant")
     flat = ctrl.reshape(ctrl.shape[0], -1)
@@ -256,20 +264,43 @@ def _rk4(static: np.ndarray, ctrl: np.ndarray, schedule: ControlSchedule, dt: fl
         u = v if control is None else control(t, state, v)
         if F is None or control is not None:
             # the product np.tensordot(u, ctrl, axes=1) forms, as one flat dot
-            F = np.dot(u[None, :], flat).reshape(ctrl.shape[1:])
+            F = np.dot(u[None, :], flat).reshape(static.shape)
         return static @ state + F @ state, u, F
 
     def step(t: float, xi: np.ndarray, last: bool):
         v1 = schedule(t)
-        k1, u1, F1 = rhs(t, xi, v1)
+        k1, u1, _ = rhs(t, xi, v1)
         if last:
             return u1, None
         v2, v4 = (v1, v1) if frozen else (schedule(t + dt / 2), schedule(t + dt))
-        F2 = F4 = F1 if frozen else None
-        k2, _, F2 = rhs(t + dt / 2, xi + (dt / 2) * k1, v2, F2)
+        k2, _, F2 = rhs(t + dt / 2, xi + (dt / 2) * k1, v2)
         k3, _, _ = rhs(t + dt / 2, xi + (dt / 2) * k2, v2, F2)
-        k4, _, _ = rhs(t + dt, xi + dt * k3, v4, F4)
+        k4, _, _ = rhs(t + dt, xi + dt * k3, v4)
         return u1, xi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    return step
+
+
+def _rk4_propagator(Z: np.ndarray) -> np.ndarray:
+    """RK4's step matrix I + Z + Z^2/2 + Z^3/6 + Z^4/24 for Z = dt A, in Horner form."""
+    I = np.eye(len(Z))
+    return I + Z @ (I + Z / 2 @ (I + Z / 3 @ (I + Z / 4)))
+
+
+def _propagator_step(static: np.ndarray, ctrl: np.ndarray, schedule: ControlSchedule,
+                     dt: float, propagator: Callable, stats: dict) -> StepRule:
+    """xi -> P xi for a (piecewise-)constant drive frozen at the step start, with
+    one P = propagator(dt (static + sum_i u_i ctrl_i)) per distinct drive value."""
+    flat = ctrl.reshape(ctrl.shape[0], -1)
+    cache: dict[bytes, np.ndarray] = {}
+
+    def step(t: float, xi: np.ndarray, last: bool):
+        u = schedule(t)
+        key = u.tobytes()
+        if not last and key not in cache:  # the field as _rk4 forms it
+            cache[key] = propagator(dt * (static + np.dot(u[None, :], flat).reshape(static.shape)))
+            stats["propagators"] = len(cache)
+        return u, None if last else cache[key] @ xi
 
     return step
 
@@ -277,10 +308,14 @@ def _rk4(static: np.ndarray, ctrl: np.ndarray, schedule: ControlSchedule, dt: fl
 def integrate_open_loop(model: SystemModel, schedule: ControlSchedule,
                         xi0: np.ndarray, t_end: float, dt: float = DEFAULT_DT,
                         norm_guard: float = DEFAULT_NORM_GUARD) -> Trajectory:
-    """Fixed-step RK4 for xi' = (drift + sum u_i(t) control_i + interaction) xi."""
-    return _propagate(model, t_end, dt, "open", _points(
+    """Fixed-step RK4 for xi' = (drift + sum u_i(t) control_i + interaction) xi;
+    a (piecewise-)constant drive steps by one RK4 step matrix per drive value."""
+    stats = {"propagators": 0}
+    frozen = schedule.kind in ("constant", "piecewise_constant")
+    return _propagate(model, t_end, dt, "open", stats, _points(
         model, schedule, xi0, t_end, dt, norm_guard, "open-loop integration",
-        lambda static, ctrl: _rk4(static, ctrl, schedule, dt)))
+        lambda static, ctrl: _propagator_step(static, ctrl, schedule, dt, _rk4_propagator, stats)
+        if frozen else _rk4(static, ctrl, schedule, dt)))
 
 
 def propagate_piecewise_exact(model: SystemModel, schedule: ControlSchedule,
@@ -297,23 +332,11 @@ def propagate_piecewise_exact(model: SystemModel, schedule: ControlSchedule,
 
     import scipy.linalg  # deferred: it more than doubles the package's import time
 
-    def exact_step(static: np.ndarray, ctrl: np.ndarray) -> StepRule:
-        cache: dict[bytes, np.ndarray] = {}
-
-        def step(t: float, xi: np.ndarray, last: bool):
-            u = schedule(t)
-            if last:
-                return u, None
-            key = u.tobytes()
-            if key not in cache:
-                cache[key] = scipy.linalg.expm((static + np.tensordot(u, ctrl, axes=1)) * dt)
-            return u, cache[key] @ xi
-
-        return step
-
-    return _propagate(model, t_end, dt, "exact", _points(
+    stats = {"propagators": 0}
+    return _propagate(model, t_end, dt, "exact", stats, _points(
         model, schedule, xi0, t_end, dt, DEFAULT_NORM_GUARD, "exact propagation",
-        exact_step))
+        lambda static, ctrl: _propagator_step(static, ctrl, schedule, dt,
+                                              scipy.linalg.expm, stats)))
 
 
 def _closed_loop_points(model: SystemModel, v_schedule: ControlSchedule,
@@ -322,8 +345,8 @@ def _closed_loop_points(model: SystemModel, v_schedule: ControlSchedule,
                         norm_guard: float, feedback: str, stats: dict):
     """The `_points` stream of `integrate_closed_loop`; `stats` collects the
     synthesis diagnostics as the stream is consumed."""
-    stats.update(ranks_seen=set(), synthesis_warnings=0,
-                 beta_rank_min=model.n_controls, max_step1_residual=0.0)
+    stats.update(ranks_seen=set(), synthesis_warnings=0, beta_rank_min=None,
+                 max_step1_residual=0.0, memo_hits=0, beta_stages=0)
 
     def feedback_step(static: np.ndarray, ctrl: np.ndarray) -> StepRule:
         if feedback == "least_squares":
@@ -333,20 +356,31 @@ def _closed_loop_points(model: SystemModel, v_schedule: ControlSchedule,
             synth = ProtectiveSynthesizer(model)
         else:
             raise ValueError(f"unknown feedback mode {feedback!r}")
+        memo: list = [None, None]  # the last state's bytes and its sample, reused
 
         def control(t: float, state: np.ndarray, v: np.ndarray) -> np.ndarray:
-            try:
-                s = synth.sample(state)
-            except DegenerateStateError as exc:
-                raise DegenerateStateError(
-                    f"{exc} [closed-loop stage at t = {t:.6f}; state dump: "
-                    f"{np.array2string(state, precision=6)}]", K=exc.K) from exc
+            key, zero, s = state.tobytes(), not v.any(), memo[1]
+            if memo[0] == key and (zero or s.beta is not None):
+                stats["memo_hits"] += 1
+            else:
+                try:
+                    s = synth.sample(state, alpha_only=True) \
+                        if zero and feedback == "least_squares" else synth.sample(state)
+                except DegenerateStateError as exc:
+                    raise DegenerateStateError(
+                        f"{exc} [closed-loop stage at t = {t:.6f}; state dump: "
+                        f"{np.array2string(state, precision=6)}]", K=exc.K) from exc
+                memo[:] = key, s
+                stats["beta_stages"] += s.beta is not None
             stats["ranks_seen"].add(s.ranks)
             stats["synthesis_warnings"] += len(s.warnings)
-            stats["beta_rank_min"] = min(stats["beta_rank_min"], s.beta_rank)
             if s.residuals:
                 stats["max_step1_residual"] = max(stats["max_step1_residual"],
                                                   max(s.residuals[:-1], default=0.0))
+            if s.beta is None:
+                return s.alpha + 0.0
+            if stats["beta_rank_min"] is None or s.beta_rank < stats["beta_rank_min"]:
+                stats["beta_rank_min"] = s.beta_rank
             return s.alpha + s.beta @ v
 
         return _rk4(static, ctrl, v_schedule, dt, control)
@@ -361,7 +395,7 @@ def integrate_closed_loop(model: SystemModel, v_schedule: ControlSchedule,
                           tol: float = 1e-9,
                           norm_guard: float = DEFAULT_NORM_GUARD,
                           feedback: str = "least_squares") -> Trajectory:
-    """Closed-loop RK4 with the feedback re-synthesized at every stage.
+    """Closed-loop RK4 with the feedback synthesized at each new stage state.
 
     The applied control is u = alpha(xi) + beta(xi) v(t); `feedback`
     selects the synthesizer: "least_squares" for the least-squares/null-space
@@ -369,9 +403,9 @@ def integrate_closed_loop(model: SystemModel, v_schedule: ControlSchedule,
     None), "protective" for the block-protecting projector feedback.
     """
     stats: dict = {}
-    traj = _propagate(model, t_end, dt, f"closed:{feedback}", _closed_loop_points(
+    traj = _propagate(model, t_end, dt, f"closed:{feedback}", stats, _closed_loop_points(
         model, v_schedule, xi0, t_end, dt, basis, tol, norm_guard, feedback, stats))
-    traj.diagnostics.update(stats, ranks_seen=sorted(stats["ranks_seen"]))
+    traj.diagnostics["ranks_seen"] = sorted(stats["ranks_seen"])
     return traj
 
 

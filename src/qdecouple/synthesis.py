@@ -113,15 +113,15 @@ class ControlLawSample:
 
     state: np.ndarray
     alpha: np.ndarray                 # real, one entry per control channel
-    beta: np.ndarray                  # real, channels x channels
+    beta: Optional[np.ndarray]        # real, channels x channels; None if alpha only
     ranks: tuple[int, int, int]       # (K, q, r)
     residuals: tuple[float, ...]      # step-1 residual per complement column, then alpha
-    beta_rank: int
+    beta_rank: Optional[int]          # None if alpha only
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=float)
+        self.beta = None if self.beta is None else np.asarray(self.beta, dtype=float)
 
 
 @dataclass(eq=False)
@@ -313,7 +313,8 @@ class FeedbackSynthesizer:
         self.n_comp = self.comp_gen.shape[0]
         self.all_gen = np.concatenate([self.delta_gen, self.comp_gen, self.ctrl_gen])
 
-    def sample(self, xi: np.ndarray) -> ControlLawSample:
+    def sample(self, xi: np.ndarray, *, alpha_only: bool = False) -> ControlLawSample:
+        """The feedback pair at `xi`; `alpha_only` stops before beta (None)."""
         xi = np.asarray(xi, dtype=complex).ravel()
         tol = self.tol
         nc = self.n_ctrl
@@ -373,6 +374,9 @@ class FeedbackSynthesizer:
         alpha = sol[:nc, q]
         # np.linalg.norm of each column, taken on contiguous copies as it does
         residuals = [math.sqrt(c.dot(c)) for c in np.ascontiguousarray(fit.T)]
+        if alpha_only:
+            return ControlLawSample(xi.copy(), alpha, None, (K, q, r_total),
+                                    tuple(residuals), None, tuple(warnings))
 
         # completion: null space of [G, V].  Candidates are the projections
         # of the bare channel directions onto the null space (the projector

@@ -79,6 +79,13 @@ def test_params_validation():
         with pytest.raises(ValueError, match="env_levels must be an integer"):
             ModelParams(env_levels=levels)
     assert build_two_qubit(ModelParams(env_levels=np.int64(3))).layout.total_dim == 12
+    # frequencies, Ising couplings, g and w are numbers; the field is named
+    for name, value in (("omega0", "1"), ("omega_env", None), ("j1", [1.0]), ("j2", "1"),
+                        ("g", "10"), ("w", b"1")):
+        with pytest.raises(ValueError, match=f"parameter {name} must be a number"):
+            ModelParams(**{name: value})
+    for value in (2, 2.5, 2.5 + 0.5j, np.float32(2.5), np.int64(2), np.complex128(1j)):
+        ModelParams(omega0=value, g=value, w=value)
 
 
 def test_electrooptic_requires_three_levels():

@@ -23,7 +23,8 @@ from qdecouple import (
     propagate_piecewise_exact,
     write_trajectory_csv,
 )
-from qdecouple.synthesis import DegenerateStateError, ProtectiveSynthesizer
+from qdecouple.synthesis import (DegenerateStateError, FeedbackSynthesizer,
+                                 ProtectiveSynthesizer)
 from conftest import random_state
 
 
@@ -57,6 +58,16 @@ def test_schedule_validation():
     for values in ([1.0, 2.0], [[[1.0]], [[2.0]]]):
         with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(values)}")):
             ControlSchedule.piecewise_constant([1.0], values)
+    # constant and sinusoidal drives take one value per channel
+    for values in ([[1.0, 2.0]], 1.0):
+        with pytest.raises(ValueError, match=re.escape(f"values must be one value per "
+                                                       f"channel, got shape {np.shape(values)}")):
+            ControlSchedule.constant(values)
+    for args, bad in ((([[1.0]], [[2.0]]), "amplitudes"), (([1.0], [[2.0]]), "frequencies"),
+                      (([1.0], [2.0], [[0.0]]), "phases")):
+        with pytest.raises(ValueError, match=f"{bad} must be one value per channel, "
+                                             r"got shape \(1, 1\)"):
+            ControlSchedule.sinusoidal(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -279,31 +290,41 @@ def test_piecewise_drive_is_frozen_per_step(restructured_model, mode):
 # the RK4 rule against a reference that forms the control field every stage
 # ---------------------------------------------------------------------------
 
-def _reference_rk4_states(model, schedule, xi0, t_end, dt, control=None):
+def _reference_rk4_states(model, schedule, xi0, t_end, dt, control=None,
+                          with_controls=False):
     """States of the classical RK4 rule with `np.tensordot(u, ctrl, axes=1)`
     formed at every stage, as the integrator did before it shared the
-    control field between stages with the same drive value."""
+    control field between stages with the same drive value; with
+    `with_controls`, also the control applied at each grid point."""
     static = model.drift.matrix + model.interaction.matrix
     ctrl = np.stack([op.matrix for op in model.controls])
     frozen = schedule.kind in ("constant", "piecewise_constant")
 
+    def control_at(t, state, v):
+        return v if control is None else control(t, state, v)
+
     def rhs(t, state, v):
-        u = v if control is None else control(t, state, v)
-        return static @ state + np.tensordot(u, ctrl, axes=1) @ state
+        return static @ state + np.tensordot(control_at(t, state, v), ctrl, axes=1) @ state
 
     xi = np.asarray(xi0, dtype=complex)
-    states = [xi]
-    for k in range(int(round(t_end / dt))):
+    states, controls = [xi], []
+    n_steps = int(round(t_end / dt))
+    for k in range(n_steps):
         t = k * dt
         v1 = schedule(t)
         v2, v4 = (v1, v1) if frozen else (schedule(t + dt / 2), schedule(t + dt))
+        if with_controls:
+            controls.append(control_at(t, xi, v1))
         k1 = rhs(t, xi, v1)
         k2 = rhs(t + dt / 2, xi + (dt / 2) * k1, v2)
         k3 = rhs(t + dt / 2, xi + (dt / 2) * k2, v2)
         k4 = rhs(t + dt, xi + dt * k3, v4)
         xi = xi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         states.append(xi)
-    return np.array(states)
+    if not with_controls:
+        return np.array(states)
+    controls.append(control_at(n_steps * dt, xi, schedule(n_steps * dt)))
+    return np.array(states), np.array(controls)
 
 
 def _drives():
@@ -321,11 +342,18 @@ def _drives():
 
 @pytest.mark.parametrize("kind", ["constant", "piecewise_constant", "sinusoidal"])
 def test_open_loop_rk4_matches_per_stage_field(restructured_model, kind):
+    # a frozen drive steps by one RK4 step matrix per drive value, which
+    # rounds differently from the four stages it sums (about 4e-15 here);
+    # any other drive keeps the stage-wise float operations
     m = restructured_model
     xi0 = random_state(np.random.default_rng(11), m.dim)
     schedule = _drives()[kind]
     traj = integrate_open_loop(m, schedule, xi0, t_end=0.2, dt=1e-3)
-    assert np.array_equal(traj.states, _reference_rk4_states(m, schedule, xi0, 0.2, 1e-3))
+    reference = _reference_rk4_states(m, schedule, xi0, 0.2, 1e-3)
+    if kind == "sinusoidal":
+        assert np.array_equal(traj.states, reference)
+    else:
+        assert np.abs(traj.states - reference).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["constant", "sinusoidal"])
@@ -356,6 +384,83 @@ def test_rk4_runs_do_not_call_tensordot(restructured_model, monkeypatch):
         integrate_open_loop(m, schedule, xi0, t_end=0.01, dt=1e-3)
         integrate_closed_loop(m, schedule, xi0, t_end=0.01, dt=1e-3, feedback="protective")
         integrate_closed_loop(m, schedule, xi0, t_end=0.002, dt=1e-3)
+
+
+def _feedback_control(synth):
+    """The closed-loop control with a full sample at every stage: no memo, and
+    beta also under a zero drive."""
+    def control(t, state, v):
+        s = synth.sample(state)
+        return s.alpha + s.beta @ v
+    return control
+
+
+_MEMO_CASES = {
+    # the least-squares loop at its fixed point: one synthesis, then hits
+    "least_squares_dfs_pair_zero": {"memo_hits": 40, "beta_stages": 0, "beta_rank_min": None},
+    # the lifted loop from a moving state: alpha alone at every stage
+    "lifted_random_zero": {"memo_hits": 0, "beta_stages": 0, "beta_rank_min": None},
+    # the protective loop under a drive: beta at every stage
+    "protective_sinusoidal": {"memo_hits": 0, "beta_stages": 41, "beta_rank_min": 12},
+}
+
+
+@pytest.mark.parametrize("case", list(_MEMO_CASES))
+def test_closed_loop_matches_memo_free_reference(restructured_model, case):
+    # the memo and the alpha-only stage leave states and applied controls,
+    # sign bits included, as a full synthesis at every stage gives them
+    m = restructured_model
+    xi0 = random_state(np.random.default_rng(14), m.dim)
+    schedule, basis, feedback = ControlSchedule.zero(24), None, "least_squares"
+    if case == "protective_sinusoidal":
+        schedule, feedback = _drives()["sinusoidal"], "protective"
+        synth = ProtectiveSynthesizer(m)
+    else:
+        basis = build_invariant_basis(m, lift_complement=case == "lifted_random_zero")
+        synth = FeedbackSynthesizer(m, basis)
+        if case == "least_squares_dfs_pair_zero":
+            xi0 = preset_state(m, "dfs_pair")
+    traj = integrate_closed_loop(m, schedule, xi0, t_end=0.01, dt=1e-3, basis=basis,
+                                 feedback=feedback)
+    states, controls = _reference_rk4_states(m, schedule, xi0, 0.01, 1e-3,
+                                             _feedback_control(synth), with_controls=True)
+    assert np.array_equal(traj.states, states)
+    assert traj.controls_applied.tobytes() == controls.tobytes()
+    assert {k: traj.diagnostics[k] for k in _MEMO_CASES[case]} == _MEMO_CASES[case]
+
+
+def test_closed_loop_computes_beta_once_the_drive_turns_on(restructured_model):
+    # the state sits at dfs_pair, with alpha alone in the memo, when the
+    # drive turns on at t = 0.005: that stage must synthesize beta afresh
+    m = restructured_model
+    basis = build_invariant_basis(m)
+    on = np.zeros(24)
+    on[[0, 3, 6, 9]] = 1.0
+    schedule = ControlSchedule.piecewise_constant([0.005], [np.zeros(24), on])
+    xi0 = preset_state(m, "dfs_pair")
+    # the guard is opened up: the feedback is singular next to dfs_pair
+    traj = integrate_closed_loop(m, schedule, xi0, t_end=0.006, dt=1e-3, basis=basis,
+                                 norm_guard=np.inf)
+    states, controls = _reference_rk4_states(
+        m, schedule, xi0, 0.006, 1e-3, _feedback_control(FeedbackSynthesizer(m, basis)),
+        with_controls=True)
+    assert np.array_equal(traj.states[5], xi0)
+    assert np.array_equal(traj.states, states)
+    assert traj.controls_applied.tobytes() == controls.tobytes()
+    assert np.abs(traj.controls_applied[5]).max() > 0.0
+    assert traj.diagnostics["memo_hits"] == 19
+    assert traj.diagnostics["beta_stages"] == 5
+
+
+def test_frozen_drive_builds_one_propagator_per_value(two_qubit_model):
+    m = two_qubit_model
+    xi0 = preset_state(m, "dfs_pair")
+    two_segments = ControlSchedule.piecewise_constant(
+        [0.01], [[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]])
+    for run in (integrate_open_loop, propagate_piecewise_exact):
+        assert run(m, two_segments, xi0, t_end=0.02).diagnostics["propagators"] == 2
+    sinusoidal = ControlSchedule.sinusoidal(np.ones(4), np.ones(4))
+    assert integrate_open_loop(m, sinusoidal, xi0, t_end=0.02).diagnostics["propagators"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -499,3 +499,20 @@ def test_solve_stage_matches_previous_on_pinned_corpus(restructured_model):
             assert a.residuals == b.residuals
             assert np.array_equal(a.alpha, b.alpha)
             assert np.array_equal(a.beta, b.beta)
+
+
+def test_alpha_only_sample_matches_full_sample_on_pinned_corpus(restructured_model):
+    # the closed loop asks only for alpha under a zero drive: the solve stage
+    # alone must give the full sample's alpha, ranks, residuals and warnings
+    m = restructured_model
+    states = _pinned_corpus(m)
+    for lift in (False, True):
+        synth = FeedbackSynthesizer(m, build_invariant_basis(m, lift_complement=lift))
+        for xi in states:
+            full, alone = synth.sample(xi), synth.sample(xi, alpha_only=True)
+            assert (alone.beta, alone.beta_rank) == (None, None)
+            assert alone.ranks == full.ranks
+            assert alone.residuals == full.residuals
+            assert alone.warnings == full.warnings
+            assert np.array_equal(alone.alpha, full.alpha)
+            assert np.array_equal(alone.state, full.state)
