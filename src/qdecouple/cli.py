@@ -288,7 +288,7 @@ class _Report:
     def write(self, filename: str):
         os.makedirs(self.cfg.output_dir, exist_ok=True)
         path = os.path.join(self.cfg.output_dir, filename)
-        _atomic_write(path, "\n".join(self.lines) + "\n")
+        _atomic_write(path, (line + "\n" for line in self.lines))
         return path
 
 

@@ -82,6 +82,8 @@ class ModelParams:
                 raise ValueError(f"parameter {name} must be a number, got {value!r}")
             if not np.isfinite(complex(value)):
                 raise ValueError(f"parameter {name} must be finite")
+            if name not in ("g", "w") and not isinstance(value, numbers.Real):
+                raise ValueError(f"parameter {name} must be real, got {value!r}")
 
 
 @dataclass(frozen=True)

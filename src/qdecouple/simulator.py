@@ -16,11 +16,12 @@ frozen over each step, so every run is deterministic and reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import time as _time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -451,7 +452,9 @@ def compare_decoupling(model_builder: Callable[[ModelParams], SystemModel],
                                          norm_guard=norm_guard, feedback=feedback)
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        return traj.times, traj.y, traj.max_norm_drift, _time.perf_counter() - start
+        # copies, so that the run's record table, with every state, is freed now
+        return (traj.times.copy(), traj.y.copy(), traj.max_norm_drift,
+                _time.perf_counter() - start)
 
     runs = _run_side_by_side(run, list(dict.fromkeys(gs)))
     times, y_ref = runs[0][:2]
@@ -554,23 +557,48 @@ def _received(worker, receiver, share: list):
 # CSV output
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, chunks: Iterable[str]):
+    """Writes the chunks to `path` through `<path>.tmp`, which replaces the
+    target only once complete and is removed if writing fails, so that the
+    target holds either its old bytes or all the new ones."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+# rows formatted per chunk: a CSV never sits in memory whole
+_CSV_ROWS = 4096
+
+
+def _write_csv(path: str, header: list[str], columns: list[np.ndarray]):
+    """Streams a CSV to `path`: the header line, then one row per index of
+    the columns (arrays of one value or a row of values per index), each
+    value formatted as %.15g."""
+    line = ",".join(["%.15g"] * len(header)) + "\n"
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for start in range(0, len(columns[0]), _CSV_ROWS):
+            rows = np.column_stack([c[start:start + _CSV_ROWS] for c in columns])
+            yield "".join([line % tuple(row) for row in rows.tolist()])
+
+    _atomic_write(path, chunks())
 
 
 def write_trajectory_csv(traj: Trajectory, path: str):
     """Column order: t, re_y, im_y, abs_y, norm, then one column per channel."""
     n_ctrl = traj.controls_applied.shape[1]
     header = ["t", "re_y", "im_y", "abs_y", "norm"] + [f"u{j + 1}" for j in range(n_ctrl)]
-    lines = [",".join(header)]
-    for k in range(traj.times.size):
-        row = [traj.times[k], traj.y[k].real, traj.y[k].imag,
-               abs(traj.y[k]), traj.norm[k], *traj.controls_applied[k]]
-        lines.append(",".join(f"{x:.15g}" for x in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    # |y| one value at a time: np.abs over the array may differ in the last bit
+    abs_y = np.fromiter(map(abs, traj.y), float, traj.y.size)
+    _write_csv(path, header, [traj.times, traj.y.real, traj.y.imag, abs_y, traj.norm,
+                              traj.controls_applied])
 
 
 def _g_label(g: complex) -> str:
@@ -584,9 +612,5 @@ def _write_compare_csv(report: DecouplingReport, times: np.ndarray,
     header = ["t"] + [f"abs_y_g={_g_label(g)}" for g in gs] \
         + [f"dev_g={_g_label(g)}" for g in gs if g != 0]
     ref = abs_traces[0]
-    lines = [",".join(header)]
-    for k in range(times.size):
-        row = [times[k]] + [abs_traces[g][k] for g in gs] \
-            + [abs(abs_traces[g][k] - ref[k]) for g in gs if g != 0]
-        lines.append(",".join(f"{x:.15g}" for x in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_csv(path, header, [times] + [abs_traces[g] for g in gs]
+               + [np.abs(abs_traces[g] - ref) for g in gs if g != 0])

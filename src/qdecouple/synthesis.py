@@ -234,15 +234,17 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
 # the per-state algorithm
 # ---------------------------------------------------------------------------
 
-# The solve stage calls LAPACK the way scipy.linalg's lstsq (gelsd), svd
+# The minimum-norm solve is NumPy's lstsq, LAPACK's gelsd, so a closed loop
+# under a zero drive, which asks for alpha alone, never loads scipy.linalg:
+# importing it costs about 0.25 s and 27 MB.  The completion needs a pivoted
+# QR, which NumPy lacks, so it calls LAPACK the way scipy.linalg's svd
 # (gesdd) and pivoted qr (geqp3, orgqr) do, with the same workspace sizes,
 # but without their per-call checks, which at these sizes cost about as
 # much as the factorizations.  Each handle is resolved once, on the first
-# solve that needs it, not at import: importing scipy.linalg more than
-# doubles the package's import time, and only this synthesis calls LAPACK.
+# completion that needs it, not at import.
 @functools.cache
 def _lapack_routine(name: str):
-    """The float64 LAPACK handle `name` (gelsd, gesdd, geqp3, orgqr, ...)."""
+    """The float64 LAPACK handle `name` (gesdd, geqp3, orgqr, ...)."""
     import scipy.linalg
 
     return scipy.linalg.get_lapack_funcs(name, dtype=np.float64)
@@ -256,16 +258,6 @@ def _lapack(name: str, *args, **kwargs):
     if info:
         raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} failed (info = {info})")
     return out
-
-
-def _lstsq(a: np.ndarray, b: np.ndarray, cond: float) -> np.ndarray:
-    """Minimum-norm least-squares solution of a x = b, singular values below
-    `cond` times the largest taken as zero."""
-    m, n = a.shape
-    work, iwork = _lapack("gelsd_lwork", m, n, b.shape[1], cond)
-    rhs = np.zeros((max(m, n), b.shape[1]))
-    rhs[:m] = b
-    return _lapack("gelsd", a, rhs, int(work), iwork, cond)[0][:n]
 
 
 def _svd(a: np.ndarray, compute_uv: bool = True):
@@ -364,10 +356,11 @@ class FeedbackSynthesizer:
         V_gc = Gl[sel_g]
 
         # steps 1 and 3 share one coefficient matrix: [G, -V_delta, -V_gcomp];
-        # one batched minimum-norm least-squares solve covers all targets
+        # one batched minimum-norm least-squares solve (LAPACK's gelsd, singular
+        # values below tol times the largest taken as zero) covers all targets
         A = np.concatenate([Gl, -V_delta, -V_gc], axis=0).T
         targets = np.concatenate([V_comp, -k0r[None, :]], axis=0).T
-        sol = _lstsq(A, targets, tol)
+        sol = np.linalg.lstsq(A, targets, rcond=tol)[0]
         fit = A @ sol - targets
         beta = np.zeros((nc, nc))
         beta[:, :q] = sol[:nc, :q]

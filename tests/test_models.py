@@ -84,8 +84,16 @@ def test_params_validation():
                         ("g", "10"), ("w", b"1")):
         with pytest.raises(ValueError, match=f"parameter {name} must be a number"):
             ModelParams(**{name: value})
-    for value in (2, 2.5, 2.5 + 0.5j, np.float32(2.5), np.int64(2), np.complex128(1j)):
-        ModelParams(omega0=value, g=value, w=value)
+    for value in (2, 2.5, np.float32(2.5), np.int64(2)):
+        ModelParams(omega0=value, omega_env=value, j1=value, j2=value, g=value, w=value)
+    # g and w may be complex; the frequencies and Ising couplings are real,
+    # also when a complex value has no imaginary part
+    for value in (2.5 + 0.5j, np.complex128(1j)):
+        ModelParams(g=value, w=value)
+    for name in ("omega0", "omega_env", "j1", "j2"):
+        for value in (1j, 2.5 + 0.5j, np.complex128(1j), 1 + 0j):
+            with pytest.raises(ValueError, match=f"parameter {name} must be real, got "):
+                ModelParams(**{name: value})
 
 
 def test_electrooptic_requires_three_levels():

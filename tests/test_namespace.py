@@ -1,8 +1,9 @@
 """Every public name a module declares, and every name the package
 namespace imports, exists: tools that walk ``__all__`` (the benchmark's
 tracer among them) fail on a stale entry.  And importing the package, or
-running a command that never factorizes, leaves scipy.linalg unloaded; the
-import, check and dfs leave multiprocessing unloaded too."""
+running a command that needs no factorization beyond a least-squares solve,
+leaves scipy.linalg unloaded; the import, check and dfs leave
+multiprocessing unloaded too."""
 import ast
 import importlib
 import json
@@ -57,6 +58,12 @@ commands = {
                      "--g", "0,0", "--t-end", "0.05"],
     "compare-protective": ["compare", "--model", "restructured", "--mode", "closed",
                            "--feedback", "protective", "--g", "0,10", "--t-end", "0.05"],
+    # a zero drive asks the least-squares synthesis for alpha alone, one
+    # minimum-norm solve; g = 0 runs in this process
+    "compare-least-squares-zero": ["compare", "--model", "restructured", "--mode", "closed",
+                                   "--schedule", "zero", "--g", "0,10", "--t-end", "0.01"],
+    "simulate-lifted-zero": ["simulate", "--model", "restructured", "--mode", "closed",
+                             "--schedule", "zero", "--lift-complement", "--t-end", "0.01"],
 }
 with tempfile.TemporaryDirectory() as out:
     for name, argv in commands.items():
@@ -72,6 +79,23 @@ import tempfile
 from qdecouple.cli import run_command
 with tempfile.TemporaryDirectory() as out:
     assert run_command(["synthesize-demo", "--output-dir", out]) == 0
+""",
+    # a nonzero drive needs beta, whose completion factorizes with SciPy
+    "simulate-least-squares-constant": """
+import os, tempfile
+import numpy as np
+from qdecouple.cli import run_command
+rng = np.random.default_rng(5)
+xi = rng.normal(size=12) + 1j * rng.normal(size=12)
+xi /= np.linalg.norm(xi)
+with tempfile.TemporaryDirectory() as out:
+    config = os.path.join(out, "state.cfg")
+    with open(config, "w") as fh:
+        fh.write("[initial_state]\\namplitudes = "
+                 + ", ".join(f"{a.real:.17g}{a.imag:+.17g}j" for a in xi) + "\\n")
+    assert run_command(["--config", config, "simulate", "--model", "restructured",
+                        "--mode", "closed", "--schedule", "constant", "--t-end", "0.01",
+                        "--output-dir", out]) == 0
 """,
     "matrix_exponential": """
 import numpy as np
@@ -114,7 +138,8 @@ def _finish(proc: subprocess.Popen) -> str:
 def test_cold_start_and_scipy_free_commands_leave_scipy_linalg_unloaded():
     result = json.loads(_finish(_fresh_interpreter(_NO_SCIPY_SCRIPT)).splitlines()[-1])
     assert result["codes"] == {"check": 0, "dfs": 0, "compare-open": 0,
-                               "compare-protective": 0}
+                               "compare-protective": 0, "compare-least-squares-zero": 0,
+                               "simulate-lifted-zero": 0}
     assert result["loaded"] == dict.fromkeys(["import", *result["codes"]], False)
     # compare imports multiprocessing to run its strengths side by side; the
     # cold start and the commands that never compare leave it unloaded

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import multiprocessing
 import os
@@ -652,6 +653,89 @@ def test_trajectory_csv_format(tmp_path):
     assert abs(float(row[3]) - 0.5) < 1e-12
     # at least 12 significant digits survive the round trip
     assert abs(float(row[4]) - traj.norm[0]) < 1e-12
+
+
+# the writers as they were when each CSV was held whole as a list of lines
+def _listed_trajectory_csv(traj):
+    n_ctrl = traj.controls_applied.shape[1]
+    header = ["t", "re_y", "im_y", "abs_y", "norm"] + [f"u{j + 1}" for j in range(n_ctrl)]
+    lines = [",".join(header)]
+    for k in range(traj.times.size):
+        row = [traj.times[k], traj.y[k].real, traj.y[k].imag,
+               abs(traj.y[k]), traj.norm[k], *traj.controls_applied[k]]
+        lines.append(",".join(f"{x:.15g}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _listed_compare_csv(gs, labels, times, abs_traces):
+    header = ["t"] + [f"abs_y_g={label}" for label in labels] \
+        + [f"dev_g={label}" for g, label in zip(gs, labels) if g != 0]
+    ref = abs_traces[0]
+    lines = [",".join(header)]
+    for k in range(times.size):
+        row = [times[k]] + [abs_traces[g][k] for g in gs] \
+            + [abs(abs_traces[g][k] - ref[k]) for g in gs if g != 0]
+        lines.append(",".join(f"{x:.15g}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("gs,labels", [([0, 10], ["0", "10"]),
+                                       ([0, 10j, 10], ["0", "0+10j", "10"])])
+def test_compare_csv_bytes_match_listed_writer(gs, labels, tmp_path, monkeypatch):
+    # a few rows per chunk, so that the file is written in several pieces
+    monkeypatch.setattr("qdecouple.simulator._CSV_ROWS", 7)
+    path = tmp_path / "compare.csv"
+    compare_decoupling(build_two_qubit, gs, _u1_schedule(), "dfs_pair", t_end=0.1,
+                       csv_path=str(path))
+    runs = {g: integrate_open_loop(build_two_qubit(ModelParams(g=g)), _u1_schedule(),
+                                   preset_state(build_two_qubit(), "dfs_pair"), 0.1)
+            for g in gs}
+    expected = _listed_compare_csv(gs, labels, runs[0].times,
+                                   {g: np.abs(r.y) for g, r in runs.items()})
+    assert path.read_bytes() == expected.encode()
+
+
+def _seeded_lifted_closed_loop(model, rng):
+    return integrate_closed_loop(model, ControlSchedule.zero(24), random_state(rng, model.dim),
+                                 t_end=0.05, dt=1e-3,
+                                 basis=build_invariant_basis(model, lift_complement=True))
+
+
+def _long_open_loop(_model, _rng):
+    # 20 001 rows: |y| taken over the whole array at once differs from the
+    # value-by-value |y| in the last bit of many rows, and a few of those
+    # differences survive the 15 printed digits
+    m = build_two_qubit()
+    return integrate_open_loop(m, _u1_schedule(), preset_state(m, "dfs_pair"), 20.0)
+
+
+@pytest.mark.parametrize("run", [_seeded_lifted_closed_loop, _long_open_loop])
+def test_trajectory_csv_bytes_match_listed_writer(run, restructured_model, rng, tmp_path,
+                                                  monkeypatch):
+    monkeypatch.setattr("qdecouple.simulator._CSV_ROWS", 7)
+    traj = run(restructured_model, rng)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, str(path))
+    assert path.read_bytes() == _listed_trajectory_csv(traj).encode()
+
+
+def test_csv_write_failure_keeps_old_file_and_leaves_no_tmp(tmp_path, monkeypatch):
+    monkeypatch.setattr("qdecouple.simulator._CSV_ROWS", 2)
+    m = build_two_qubit()
+    traj = integrate_open_loop(m, _u1_schedule(), preset_state(m, "dfs_pair"), 0.01)
+    times = traj.times.astype(object)
+    times[7] = "not a number"       # met in the fourth chunk, after three are written
+    bad = dataclasses.replace(traj, times=times)
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises(TypeError):
+        write_trajectory_csv(bad, str(path))
+    assert path.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
+    # a target that did not exist is not created
+    with pytest.raises(TypeError):
+        write_trajectory_csv(bad, str(tmp_path / "new.csv"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
 
 
 def test_preset_state_errors(two_qubit_model):
