@@ -15,6 +15,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .geometry import KernelMembership, LinearVectorField, kernel_dy_member
 from .models import ModelParams, SystemModel, _coherence, _collective_dephasing
 from .operators import (
@@ -22,8 +24,12 @@ from .operators import (
     OperatorLike,
     TimeOperator,
     commutator,
+    opnorm,
     Span,
+    _brackets,
+    _commutator_flag,
     _IncrementalSpan,
+    _stack,
     vectorize,
 )
 
@@ -40,6 +46,7 @@ __all__ = [
 
 DEFAULT_DEPTH_CAP = 12
 DEFAULT_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -71,6 +78,15 @@ def _derivative_bound(T: OperatorLike) -> float:
     return max((abs(nu) + p for nu, p in T.families), default=0.0)
 
 
+def _rounding_bound(n_rows: int, width: int) -> float:
+    """How far two evaluations of one classical Gram-Schmidt residual of a
+    unit vector against `n_rows` orthonormal rows of `width` entries can
+    differ: twice the a-priori bound on each, whose inner products have
+    `width` terms and whose sums have `n_rows` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, section 3.1)."""
+    return 2.0 * _EPS * (math.sqrt(n_rows) + 1.0) * (width + n_rows + 4)
+
+
 def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
                     depth_cap: int = DEFAULT_DEPTH_CAP,
                     tol: float = DEFAULT_TOL) -> OperatorDistribution:
@@ -83,9 +99,23 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
     nothing, and the span and its key columns only grow, so a pair rejected
     once is rejected again.  Candidates below 1e-12 times the scale of their
     ingredients are cancellation noise, which normalizing would turn into
-    spurious directions; the rest are normalized and join when their
-    residual against the orthonormal basis exceeds `tol`, relative to their
-    unit norm.  A sweep that adds nothing ends the walk with converged=True.
+    spurious directions; the rest are normalized and join, in order, when
+    their residual against the orthonormal basis exceeds `tol`, relative to
+    their unit norm.  A sweep that adds nothing ends the walk with
+    converged=True.
+
+    A constant generator is bracketed with all controls (two or more) in
+    one stacked product, and the block of candidates above the noise floor
+    (two or more) is screened with one projection against the basis.  A
+    candidate whose residual there is at most tol/2 is dropped unbuilt: in
+    order, against the same rows and those accepted since, its residual
+    differs only by the rounding between the two projections, so the rule
+    above would reject it.  The screen runs only
+    where that tol/2 margin exceeds a bound on the rounding, so at a
+    sub-rounding `tol` nothing is screened.  The other candidates take the
+    in-order rule with the bits of the one-pair path, and an Operator is
+    built only for one that joins.  A time-dependent generator, or a single
+    control, is bracketed pair by pair.
     """
     span = _IncrementalSpan()
     keys: list[tuple[float, int]] = []
@@ -104,19 +134,54 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
             if span.add(vectorize(op, tuple(keys)), tol) > tol:
                 gens.append(op)
 
+    def add_block(T: Operator, floors: np.ndarray):
+        # a constant closure has the one key (0, 0), so a vector is a matrix
+        flat = _brackets(T.matrix, stacked).reshape(len(controls), -1)
+        norms = np.linalg.norm(flat, axis=1)
+        # these norms round within 1e-15 of `add`'s, so a candidate below
+        # half its floor here is one the floor drops
+        live = np.flatnonzero(norms >= 0.5 * floors)
+        rows = span.rows
+        half = 0.5 * tol
+        screen = len(live) > 1 and half > _rounding_bound(rows.shape[0] + len(live),
+                                                          rows.shape[1])
+        if screen:
+            V = flat[live] / norms[live, None]
+            E = V - (rows @ V.conj().T).conj().T @ rows
+            res = np.linalg.norm(E, axis=1)
+        for j, i in enumerate(live):
+            if screen and res[j] <= half:
+                continue
+            m = flat[i]
+            n = opnorm(m)
+            if n > floors[i] and math.isfinite(n):
+                v = complex(1.0 / n) * m
+                if span.add(v, tol) > tol:
+                    flag = _commutator_flag(T.hermiticity, controls[i].hermiticity)
+                    gens.append(Operator(v.reshape(T.dim, T.dim), flag))
+                    if screen:  # the later residuals, off the new row too
+                        N = span.rows[-1]
+                        E -= np.outer(V @ N.conj(), N)
+                        res = np.linalg.norm(E, axis=1)
+
     add(C, 0.0)
     if not gens:
         raise ValueError("coherence operator is zero")
     h_norm = H.norm()
-    control_norms = [Hi.norm() for Hi in controls]
+    control_norms = np.array([Hi.norm() for Hi in controls])
+    stacked = _stack([Hi.matrix for Hi in controls], C.dim)
     depth = start = 0
     converged = False
     for depth in range(1, depth_cap + 1):
         before = len(gens)
         for T in gens[start:before]:
             t_norm = T.norm()
-            for Hi, n_i in zip(controls, control_norms):
-                add(commutator(T, Hi), 1e-12 * max(1.0, 2.0 * t_norm * n_i))
+            floors = 1e-12 * np.maximum(1.0, 2.0 * t_norm * control_norms)
+            if isinstance(T, Operator) and len(controls) > 1:
+                add_block(T, floors)
+            else:
+                for Hi, floor in zip(controls, floors):
+                    add(commutator(T, Hi), floor)
             drift_scale = t_norm * (2.0 * h_norm + _derivative_bound(T))
             add(_drift_step(T, H), 1e-12 * max(1.0, drift_scale))
         if len(gens) == before:

@@ -154,12 +154,12 @@ class Operator:
         return Operator(-1j * self.matrix, flag, self.label)
 
     def __add__(self, other: "Operator") -> "Operator":
-        _require_same_dim(self, other)
+        _same_dim(self.dim, other.dim)
         flag = self.hermiticity if self.hermiticity == other.hermiticity else "general"
         return Operator(self.matrix + other.matrix, flag)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        _require_same_dim(self, other)
+        _same_dim(self.dim, other.dim)
         flag = self.hermiticity if self.hermiticity == other.hermiticity else "general"
         return Operator(self.matrix - other.matrix, flag)
 
@@ -178,13 +178,13 @@ class Operator:
         return Operator(scalar * self.matrix, flag, self.label)
 
     def __matmul__(self, other: "Operator") -> "Operator":
-        _require_same_dim(self, other)
+        _same_dim(self.dim, other.dim)
         return Operator(self.matrix @ other.matrix)
 
 
-def _require_same_dim(a, b):
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+def _same_dim(a: int, b: int):
+    if a != b:
+        raise DimensionMismatchError(f"dimension mismatch: {a} vs {b}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,7 +282,7 @@ class TimeOperator:
         return TimeOperator._from_parts(parts, self.dim, f"d/dt {self.label}".strip())
 
     def __add__(self, other: "TimeOperator") -> "TimeOperator":
-        _require_same_dim(self, other)
+        _same_dim(self.dim, other.dim)
         return TimeOperator._from_parts([*self.families.items(), *other.families.items()],
                                         self.dim)
 
@@ -373,16 +373,37 @@ def _commutator_flag(a: str, b: str) -> str:
     return "general"
 
 
+def _stack(matrices: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """The (dim, dim) `matrices` as one (n, dim, dim) stack, checked first:
+    stacking matrices of another dimension would raise NumPy's ValueError."""
+    for m in matrices:
+        _same_dim(dim, m.shape[-1])
+    return np.stack(matrices) if len(matrices) else np.zeros((0, dim, dim), dtype=complex)
+
+
+def _brackets(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """[x, y] = xy - yx for every matrix y of the (n, d, d) stack `ys`, as one
+    stacked product; each slice has the bits of the two-matrix product.
+
+    The package's one bracket formula: `commutator` is its one-pair case,
+    and the closure walk and the invariant-basis table bracket a generator
+    with all its partners at once through it.
+    """
+    _same_dim(x.shape[-1], ys.shape[-1])
+    return x @ ys - ys @ x
+
+
 def commutator(A: OperatorLike, B: OperatorLike) -> OperatorLike:
     """[A, B] = AB - BA.  TimeOperator operands stay inside the closed family."""
+    _same_dim(A.dim, B.dim)
     if isinstance(A, Operator) and isinstance(B, Operator):
-        _require_same_dim(A, B)
-        m = A.matrix @ B.matrix - B.matrix @ A.matrix
-        return Operator(m, _commutator_flag(A.hermiticity, B.hermiticity))
-    _require_same_dim(A, B)
+        return Operator(_brackets(A.matrix, B.matrix[None])[0],
+                        _commutator_flag(A.hermiticity, B.hermiticity))
+    ys = B.matrix[None] if isinstance(B, Operator) else _stack(tuple(B.families.values()), B.dim)
     return TimeOperator._from_parts(
-        (((round(nu_x + nu_y, FREQ_DECIMALS), p_x + p_y), x @ y - y @ x)
-         for (nu_x, p_x), x in A.families.items() for (nu_y, p_y), y in B.families.items()),
+        (((round(nu_x + nu_y, FREQ_DECIMALS), p_x + p_y), b)
+         for (nu_x, p_x), x in A.families.items()
+         for (nu_y, p_y), b in zip(B.families, _brackets(x, ys))),
         A.dim)
 
 
@@ -458,16 +479,19 @@ class Span:
         self._s = s[:self.rank]
         self._v = vh[:self.rank].conj().T
 
+    def _check_size(self, entries: int, families: int):
+        if self.size and entries != families * self._family_size:
+            raise DimensionMismatchError(
+                f"target has {entries} entries over {families} coefficient families, "
+                f"the basis {self._family_size} per family")
+
     def membership(self, target) -> MembershipResult:
         if isinstance(target, np.ndarray):
             t, families = target.ravel().astype(complex), len(self.keys)
         else:
             extra = tuple(k for k in _collect_keys([target]) if k not in self.keys)
             t, families = vectorize(target, self.keys + extra), len(self.keys) + len(extra)
-        if self.size and t.size != families * self._family_size:
-            raise DimensionMismatchError(
-                f"target has {t.size} entries over {families} coefficient families, "
-                f"the basis {self._family_size} per family")
+        self._check_size(t.size, families)
         tnorm = float(np.linalg.norm(t))
         threshold = self.tol * max(1.0, tnorm)
         if self.rank == 0:
@@ -478,6 +502,23 @@ class Span:
         residual = float(np.linalg.norm(np.concatenate([self._B @ coeffs - t[:n_in],
                                                         t[n_in:]])))
         return MembershipResult(residual <= threshold, coeffs, residual, self.rank)
+
+    def memberships(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`membership` of many plain-array targets, one per index of the
+        first axis of `targets`, in one projection: the `is_member` and
+        `residual_norm` arrays.  A product of matrices rounds differently
+        from `membership`'s matrix-vector products, by about 1e-16 of each
+        target's norm."""
+        t = np.asarray(targets, dtype=complex)
+        t = t.reshape(len(t), math.prod(t.shape[1:]))
+        self._check_size(t.shape[1], len(self.keys))
+        tnorm = np.linalg.norm(t, axis=1)
+        threshold = self.tol * np.maximum(1.0, tnorm)
+        if self.rank == 0:
+            return tnorm <= threshold, tnorm
+        coeffs = ((t @ self._uh.T) / self._s) @ self._v.T
+        residual = np.linalg.norm(coeffs @ self._B.T - t, axis=1)
+        return residual <= threshold, residual
 
 
 class _IncrementalSpan:

@@ -30,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .models import SystemModel, _environment_powers
-from .operators import (_PAULI, Operator, Span, _IncrementalSpan, _numerical_rank, commutator,
-                        opnorm)
+from .operators import (_PAULI, Operator, Span, _brackets, _IncrementalSpan, _numerical_rank,
+                        _stack, opnorm)
 
 __all__ = [
     "DegenerateStateError",
@@ -150,8 +150,18 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
     coherence operator and that the commutation table
     [delta, delta] in Delta, [delta, g] in Delta+G, [delta, d] in Delta,
     [d, g] in G holds within `tol`; raises with the offending bracket
-    otherwise.  `lift_complement` tensors the complement with {I, D, D^2}
-    as well (the documented fallback variation).
+    otherwise.  The table is tested in blocks: each delta with the later
+    deltas, the controls and the complement, and each complement operator
+    with the controls, in one stacked product per generator.  Brackets
+    below 1e-13 times the largest basis norm count as zero; each run of
+    partners that shares a span is tested in one projection
+    (`Span.memberships`), whose residuals differ from one-target tests by
+    rounding, about 1e-16 of the bracket's norm, so only a bracket that
+    close to the `tol` cutoff could be judged differently.  The first
+    violation in scan order (deltas, then complement operators, each with
+    its partners in the order above) is raised.  `lift_complement` tensors
+    the complement with {I, D, D^2} as well (the documented fallback
+    variation).
     """
     _check_restructured(model)
     env_powers = _environment_powers(model.params)
@@ -173,7 +183,13 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
 
     C = model.coherence_op
     c_scale = max(C.norm(), 1.0)
-    coherence_check = np.array([commutator(delta, C).norm() for delta in delta_ops])
+    ctrl_ops = list(model.controls)
+    delta_list = list(delta_ops)
+    n_d, n_g, n_c = len(delta_list), len(ctrl_ops), len(complement_ops)
+    partner_ops = delta_list + ctrl_ops + list(complement_ops)
+    partners = _stack([p.matrix for p in partner_ops], C.dim)
+    # [C, delta] = -[delta, C] exactly, so the norms are those of [delta, C]
+    coherence_check = np.array([opnorm(b) for b in _brackets(C.matrix, partners[:n_d])])
     worst = coherence_check.max(initial=0.0)
     if worst > 1e-12 * c_scale * max(opnorm(d.matrix) for d in delta_ops):
         idx = int(np.argmax(coherence_check))
@@ -181,8 +197,6 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
             f"delta operator {delta_ops[idx].label!r} does not commute with the "
             f"coherence operator (residual {worst:.3e})")
 
-    ctrl_ops = list(model.controls)
-    delta_list = list(delta_ops)
     table: dict[str, float] = {"delta_delta": 0.0, "delta_g": 0.0,
                                "delta_d": 0.0, "d_g": 0.0}
 
@@ -190,35 +204,35 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
         # brackets below this norm are taken as zero, not tested
         return Span(basis_ops, tol), 1e-13 * max(1.0, *(opnorm(b.matrix) for b in basis_ops))
 
-    def _must_lie_in(kind: str, br: Operator, checked: tuple[Span, float], label: str):
-        span, zero_norm = checked
-        if br.norm() <= zero_norm:
-            return
-        m = span.membership(br)
-        rel = m.residual_norm / max(br.norm(), 1e-300)
-        table[kind] = max(table[kind], rel)
-        if not m.is_member:
-            raise InvariantBasisError(
-                f"commutation table violated: {label} leaves its span "
-                f"(relative residual {rel:.3e})")
+    def _must_lie_in(x: Operator, lo: int, runs):
+        # [x, p] for the partners p from index `lo` on, in one stacked
+        # product; `runs` gives each run of partners, in order, as its table
+        # kind, checked span and length, and a run is tested in one
+        # projection
+        block = _brackets(x.matrix, partners[lo:lo + sum(n for *_, n in runs)])
+        for kind, (span, zero_norm), n in runs:
+            brackets = block[:n].reshape(n, x.matrix.size)
+            norms = np.linalg.norm(brackets, axis=1)
+            tested = np.flatnonzero(norms > zero_norm)
+            member, residual = span.memberships(brackets[tested])
+            rel = residual / np.maximum(norms[tested], 1e-300)
+            table[kind] = max(table[kind], float(rel.max(initial=0.0)))
+            if not member.all():
+                first = int(np.argmin(member))
+                raise InvariantBasisError(
+                    f"commutation table violated: [{x.label}, "
+                    f"{partner_ops[lo + tested[first]].label}] leaves its span "
+                    f"(relative residual {rel[first]:.3e})")
+            block, lo = block[n:], lo + n
 
     in_delta = _checked_span(delta_list)
     in_delta_g = _checked_span(delta_list + ctrl_ops)
     in_g = _checked_span(ctrl_ops)
     for i, da in enumerate(delta_list):
-        for db in delta_list[i + 1:]:
-            _must_lie_in("delta_delta", commutator(da, db), in_delta,
-                         f"[{da.label}, {db.label}]")
-        for g in ctrl_ops:
-            _must_lie_in("delta_g", commutator(da, g), in_delta_g,
-                         f"[{da.label}, {g.label}]")
-        for d in complement_ops:
-            _must_lie_in("delta_d", commutator(da, d), in_delta,
-                         f"[{da.label}, {d.label}]")
+        _must_lie_in(da, i + 1, [("delta_delta", in_delta, n_d - i - 1),
+                                 ("delta_g", in_delta_g, n_g), ("delta_d", in_delta, n_c)])
     for d in complement_ops:
-        for g in ctrl_ops:
-            _must_lie_in("d_g", commutator(d, g), in_g,
-                         f"[{d.label}, {g.label}]")
+        _must_lie_in(d, n_d, [("d_g", in_g, n_g)])
 
     return InvariantBasis(
         delta_ops=delta_ops,

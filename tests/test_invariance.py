@@ -5,6 +5,7 @@ from qdecouple import (
     ModelParams,
     Operator,
     TimeOperator,
+    build_ancilla_system,
     build_electrooptic,
     build_one_qubit,
     build_two_qubit,
@@ -15,6 +16,7 @@ from qdecouple import (
     generate_ctilde,
     invariance,
     make_primitive,
+    operators,
 )
 from qdecouple.operators import TimeTerm, _collect_keys, _IncrementalSpan, vectorize
 from conftest import count_time_operators
@@ -72,18 +74,19 @@ def test_ctilde_rank_independent_of_control_order(two_qubit_model):
         assert alt.rank == base.rank
 
 
-def _full_walk(C, H, controls, depth_cap, tol=1e-9):
-    """The closure walk before the frontier rule: every sweep brackets every
-    generator held at its start, so each pair is tried again in every later
-    sweep.  The brackets, noise floor and accept rule are those of
-    `generate_ctilde`."""
+def _reference_walk(C, H, controls, depth_cap, tol=1e-9, frontier=False):
+    """The closure walk pair by pair, one `commutator` and one span test per
+    candidate, with the noise floor and accept rule of `generate_ctilde`.
+    By default it is the walk before the frontier rule: every sweep brackets
+    every generator held at its start, so each pair is tried again in every
+    later sweep.  `frontier` brackets only the generators the previous sweep
+    accepted, as `generate_ctilde` does.  Returns the generators, the depth,
+    whether the walk converged and the rank after each sweep."""
     span = _IncrementalSpan()
     keys = []
-    largest = 0.0
     gens = []
 
     def add(op, floor):
-        nonlocal largest
         n = op.norm()
         if n > floor and np.isfinite(n):
             op = (1.0 / n) * op
@@ -91,26 +94,26 @@ def _full_walk(C, H, controls, depth_cap, tol=1e-9):
             if new:
                 keys.extend(new)
                 span.widen(len(new) * op.dim * op.dim)
-            v = vectorize(op, tuple(keys))
-            largest = max(largest, float(np.linalg.norm(v)))
-            cutoff = tol * largest
-            if span.add(v, cutoff) > cutoff:
+            if span.add(vectorize(op, tuple(keys)), tol) > tol:
                 gens.append(op)
 
     add(C, 0.0)
     h_norm = H.norm()
-    depth = 0
+    depth = start = 0
+    sizes = []
     for depth in range(1, depth_cap + 1):
         before = len(gens)
-        for T in gens[:before]:
+        for T in gens[start if frontier else 0:before]:
             t_norm = T.norm()
             for Hi in controls:
                 add(commutator(T, Hi), 1e-12 * max(1.0, 2.0 * t_norm * Hi.norm()))
             drift_scale = t_norm * (2.0 * h_norm + invariance._derivative_bound(T))
             add(invariance._drift_step(T, H), 1e-12 * max(1.0, drift_scale))
+        sizes.append(len(gens))
         if len(gens) == before:
-            return gens, depth, True
-    return gens, depth, False
+            return gens, depth, True, sizes
+        start = before
+    return gens, depth, False, sizes
 
 
 def _generator_bytes(op):
@@ -121,18 +124,22 @@ def _generator_bytes(op):
 
 @pytest.mark.parametrize("name", ["two_qubit_model", "restructured_model"])
 def test_closure_brackets_each_pair_once(name, request, monkeypatch):
+    # every bracket goes through the one stacked helper, a control block
+    # and a drift step alike, so its rows count the bracketed pairs
     model = request.getfixturevalue(name)
-    calls = 0
+    pairs = 0
+    brackets = operators._brackets
 
-    def counted(A, B):
-        nonlocal calls
-        calls += 1
-        return commutator(A, B)
+    def counted(x, ys):
+        nonlocal pairs
+        pairs += len(ys)
+        return brackets(x, ys)
 
-    monkeypatch.setattr(invariance, "commutator", counted)
+    monkeypatch.setattr(operators, "_brackets", counted)
+    monkeypatch.setattr(invariance, "_brackets", counted)
     dist = generate_ctilde(model.coherence_op, model.drift, list(model.controls))
     assert dist.converged
-    assert calls == dist.rank * (len(model.controls) + 1)
+    assert pairs == dist.rank * (len(model.controls) + 1)
 
 
 def test_constant_closure_builds_no_time_operator(restructured_model, monkeypatch):
@@ -144,18 +151,44 @@ def test_constant_closure_builds_no_time_operator(restructured_model, monkeypatc
     assert built == []
 
 
-def test_frontier_walk_matches_full_walk(two_qubit_model, restructured_model):
-    cases = [(build_one_qubit(), cap) for cap in range(1, 7)]
-    cases += [(two_qubit_model, cap) for cap in range(1, 7)]
-    cases += [(build_electrooptic(), cap) for cap in range(1, 5)]
-    cases += [(restructured_model, 12)]
-    for model, depth_cap in cases:
-        args = (model.coherence_op, model.drift, list(model.controls), depth_cap)
-        dist = generate_ctilde(*args)
-        ref_gens, ref_depth, ref_converged = _full_walk(*args)
-        assert [_generator_bytes(g) for g in dist.generators] == \
-            [_generator_bytes(g) for g in ref_gens]
-        assert (dist.depth_reached, dist.converged) == (ref_depth, ref_converged)
+def test_frontier_walk_matches_full_walk(two_qubit_model, restructured_model, monkeypatch):
+    # the walk at cap k is the first k sweeps of the walk at a higher cap, so
+    # one reference walk per case checks each of its caps.  Below rounding
+    # (tol=1e-16) a re-tried pair may join, so the reference there is the
+    # pair-by-pair frontier walk, and no block screen may run: every
+    # candidate above the noise floor takes the in-order span test.
+    span_tests = 0
+    add = _IncrementalSpan.add
+
+    def counted(self, v, cutoff):
+        nonlocal span_tests
+        span_tests += 1
+        return add(self, v, cutoff)
+
+    monkeypatch.setattr(_IncrementalSpan, "add", counted)
+    ancilla = build_ancilla_system(ModelParams(env_levels=2))
+    cases = [(build_one_qubit(), range(1, 7), 1e-9), (two_qubit_model, range(1, 7), 1e-9),
+             (build_electrooptic(), range(1, 13), 1e-9), (restructured_model, [12], 1e-9),
+             (ancilla, range(1, 9), 1e-9), (two_qubit_model, range(1, 13), 1e-16),
+             (restructured_model, [12], 1e-16)]
+    for model, caps, tol in cases:
+        args = (model.coherence_op, model.drift, list(model.controls))
+        span_tests = 0
+        ref_gens, ref_depth, ref_converged, sizes = _reference_walk(
+            *args, max(caps), tol, frontier=tol < 1e-9)
+        ref_tests = span_tests
+        for cap in caps:
+            span_tests = 0
+            dist = generate_ctilde(*args, cap, tol)
+            if ref_converged and cap >= ref_depth:
+                expected = (ref_gens, ref_depth, True)
+            else:
+                expected = (ref_gens[:sizes[cap - 1]], cap, False)
+            assert [_generator_bytes(g) for g in dist.generators] == \
+                [_generator_bytes(g) for g in expected[0]], (model.name, cap, tol)
+            assert (dist.depth_reached, dist.converged) == expected[1:]
+        if tol < 1e-9:
+            assert span_tests == ref_tests
 
 
 def _restrict_time_op(T: TimeOperator, proj: np.ndarray) -> TimeOperator:

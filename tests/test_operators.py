@@ -16,7 +16,7 @@ from qdecouple import (
     matrix_exponential,
     span_membership,
 )
-from qdecouple.operators import _collect_keys, vectorize
+from qdecouple.operators import _brackets, _collect_keys, _stack, vectorize
 from conftest import random_matrix, random_state
 
 SQ2 = np.sqrt(2.0)
@@ -140,6 +140,25 @@ def test_commutator_flags():
     sy = make_primitive("pauli_y", 2)
     assert commutator(sx, sy).hermiticity == "skew_hermitian"
     assert commutator(sx.times_minus_i(), sy.times_minus_i()).hermiticity == "skew_hermitian"
+
+
+def test_stacked_brackets_have_the_bits_of_each_pair(rng):
+    # one stacked product per generator gives each pair's product bit for
+    # bit, and commutator is its one-pair case
+    x = random_matrix(rng, 6)
+    ys = np.stack([random_matrix(rng, 6) for _ in range(5)])
+    for y, b in zip(ys, _brackets(x, ys)):
+        assert b.tobytes() == (x @ y - y @ x).tobytes()
+        assert commutator(Operator(x), Operator(y)).matrix.tobytes() == b.tobytes()
+    T = TimeOperator((TimeTerm(x, 1.0, 2.0, 0), TimeTerm(ys[0], 1.0, 0.0, 1)))
+    mixed = commutator(T, Operator(ys[1])).families
+    assert mixed[(2.0, 0)].tobytes() == (x @ ys[1] - ys[1] @ x).tobytes()
+    assert mixed[(0.0, 1)].tobytes() == (ys[0] @ ys[1] - ys[1] @ ys[0]).tobytes()
+    with pytest.raises(DimensionMismatchError):
+        _brackets(x, ys[:, :5, :5])
+    with pytest.raises(DimensionMismatchError):
+        _stack([x, x[:5, :5]], 6)
+    assert _stack([], 6).shape == (0, 6, 6)
 
 
 def test_tensor_commutator_identity(rng):

@@ -183,6 +183,27 @@ def test_span_membership_wraps_span(rng, tol):
         _assert_matches(result, target, basis, tol)
 
 
+def test_many_target_membership_matches_single_target(rng):
+    # members, near-members and outsiders of full-rank, partial and empty
+    # spans, tested in one projection and one at a time
+    controls = list(build_restructured(ModelParams()).controls)
+    targets = [commutator(a, b).matrix for a in controls[:4] for b in controls[::3]]
+    targets += [c.matrix for c in controls[:3]]
+    targets += [controls[0].matrix - 2.0 * controls[5].matrix + 1e-10 * controls[9].matrix]
+    targets += [random_matrix(rng, 12), np.zeros((12, 12), complex)]
+    targets = np.stack(targets)
+    for basis in (controls, controls[:8], [Operator(np.zeros((12, 12)))], []):
+        span = Span(basis, TOL)
+        member, residual = span.memberships(targets)
+        singles = [span.membership(t) for t in targets]
+        assert member.tolist() == [r.is_member for r in singles]
+        for t, r, single in zip(targets, residual, singles):
+            assert abs(r - single.residual_norm) <= 1e-15 * max(1.0, np.linalg.norm(t))
+    assert {True, False} <= set(Span(controls[:8], TOL).memberships(targets)[0].tolist())
+    with pytest.raises(DimensionMismatchError):
+        Span(controls, TOL).memberships(np.zeros((2, 4, 4), complex))
+
+
 @pytest.fixture(scope="module")
 def restructured_closure():
     model = build_restructured(ModelParams())

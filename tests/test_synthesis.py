@@ -6,9 +6,13 @@ from qdecouple import (
     ControlLawSample,
     DegenerateStateError,
     LinearVectorField,
+    ModelParams,
     Operator,
+    Span,
     build_invariant_basis,
+    build_restructured,
     build_two_qubit,
+    commutator,
     kernel_dy_member,
     make_primitive,
     preset_state,
@@ -17,6 +21,7 @@ from qdecouple import (
     verify_synthesis,
 )
 from qdecouple import synthesis
+from qdecouple.models import _environment_powers
 from qdecouple.operators import _IncrementalSpan, _numerical_rank
 from qdecouple.synthesis import FeedbackSynthesizer, ProtectiveSynthesizer
 from conftest import count_time_operators, random_state
@@ -83,6 +88,62 @@ def test_basis_validation_builds_no_time_operator(restructured_model, lift, monk
     basis = build_invariant_basis(restructured_model, lift_complement=lift)
     assert len(basis.complement_ops) == (9 if lift else 3)
     assert built == []
+
+
+def _per_bracket_scan(model, lift, tol=1e-9):
+    """The commutation table one bracket and one span test at a time, in
+    the order `build_invariant_basis` scans it: the worst relative residual
+    per kind, and the first violating bracket's label and residual."""
+    env = _environment_powers(model.params)
+    deltas = [Operator(np.kron(m, e), "hermitian", f"{lab} D^{i}")
+              for m, lab in synthesis.system_delta_operators() for i, e in enumerate(env)]
+    comp = [Operator(np.kron(m, e), "hermitian", f"{lab} D^{i}" if lift else lab)
+            for m, lab in synthesis.complement_operators()
+            for i, e in enumerate(env if lift else env[:1])]
+    controls = list(model.controls)
+
+    def checked(ops):
+        return Span(ops, tol), 1e-13 * max(1.0, *(op.norm() for op in ops))
+
+    in_delta, in_delta_g, in_g = checked(deltas), checked(deltas + controls), checked(controls)
+    pairs = []
+    for i, da in enumerate(deltas):
+        pairs += [("delta_delta", da, db, in_delta) for db in deltas[i + 1:]]
+        pairs += [("delta_g", da, g, in_delta_g) for g in controls]
+        pairs += [("delta_d", da, d, in_delta) for d in comp]
+    pairs += [("d_g", d, g, in_g) for d in comp for g in controls]
+    table = dict.fromkeys(("delta_delta", "delta_g", "delta_d", "d_g"), 0.0)
+    for kind, a, b, (span, zero_norm) in pairs:
+        bracket = commutator(a, b)
+        if bracket.norm() <= zero_norm:
+            continue
+        result = span.membership(bracket)
+        rel = result.residual_norm / bracket.norm()
+        table[kind] = max(table[kind], rel)
+        if not result.is_member:
+            return table, f"[{a.label}, {b.label}]", rel
+    return table, None, None
+
+
+@pytest.mark.parametrize("lift", [False, True])
+def test_table_blocks_match_per_bracket_scan(restructured_model, lift):
+    table, violation, _ = _per_bracket_scan(restructured_model, lift)
+    assert violation is None
+    got = build_invariant_basis(restructured_model, lift_complement=lift).bracket_residuals
+    assert got.keys() == table.keys()
+    for kind, worst in table.items():
+        assert abs(got[kind] - worst) <= 1e-15, kind
+
+
+def test_table_blocks_raise_the_per_bracket_violation():
+    # at four env levels the hard-coded {I, D, D^2} dressing does not close
+    model = build_restructured(ModelParams(env_levels=4))
+    _, violation, rel = _per_bracket_scan(model, False)
+    assert violation is not None
+    with pytest.raises(synthesis.InvariantBasisError) as err:
+        build_invariant_basis(model)
+    assert str(err.value) == (f"commutation table violated: {violation} leaves its span "
+                              f"(relative residual {rel:.3e})")
 
 
 def test_basis_rejects_wrong_model(two_qubit_model):
