@@ -46,7 +46,6 @@ __all__ = [
 
 DEFAULT_DEPTH_CAP = 12
 DEFAULT_TOL = 1e-9
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -78,15 +77,6 @@ def _derivative_bound(T: OperatorLike) -> float:
     return max((abs(nu) + p for nu, p in T.families), default=0.0)
 
 
-def _rounding_bound(n_rows: int, width: int) -> float:
-    """How far two evaluations of one classical Gram-Schmidt residual of a
-    unit vector against `n_rows` orthonormal rows of `width` entries can
-    differ: twice the a-priori bound on each, whose inner products have
-    `width` terms and whose sums have `n_rows` (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002, section 3.1)."""
-    return 2.0 * _EPS * (math.sqrt(n_rows) + 1.0) * (width + n_rows + 4)
-
-
 def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
                     depth_cap: int = DEFAULT_DEPTH_CAP,
                     tol: float = DEFAULT_TOL) -> OperatorDistribution:
@@ -104,18 +94,10 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
     their unit norm.  A sweep that adds nothing ends the walk with
     converged=True.
 
-    A constant generator is bracketed with all controls (two or more) in
-    one stacked product, and the block of candidates above the noise floor
-    (two or more) is screened with one projection against the basis.  A
-    candidate whose residual there is at most tol/2 is dropped unbuilt: in
-    order, against the same rows and those accepted since, its residual
-    differs only by the rounding between the two projections, so the rule
-    above would reject it.  The screen runs only
-    where that tol/2 margin exceeds a bound on the rounding, so at a
-    sub-rounding `tol` nothing is screened.  The other candidates take the
-    in-order rule with the bits of the one-pair path, and an Operator is
-    built only for one that joins.  A time-dependent generator, or a single
-    control, is bracketed pair by pair.
+    A constant generator is bracketed with all controls in one stacked
+    product, each slice with the bits of its one-pair bracket, and an
+    Operator is built only for a candidate that joins; a time-dependent
+    generator is bracketed pair by pair.
     """
     span = _IncrementalSpan()
     keys: list[tuple[float, int]] = []
@@ -137,32 +119,13 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
     def add_block(T: Operator, floors: np.ndarray):
         # a constant closure has the one key (0, 0), so a vector is a matrix
         flat = _brackets(T.matrix, stacked).reshape(len(controls), -1)
-        norms = np.linalg.norm(flat, axis=1)
-        # these norms round within 1e-15 of `add`'s, so a candidate below
-        # half its floor here is one the floor drops
-        live = np.flatnonzero(norms >= 0.5 * floors)
-        rows = span.rows
-        half = 0.5 * tol
-        screen = len(live) > 1 and half > _rounding_bound(rows.shape[0] + len(live),
-                                                          rows.shape[1])
-        if screen:
-            V = flat[live] / norms[live, None]
-            E = V - (rows @ V.conj().T).conj().T @ rows
-            res = np.linalg.norm(E, axis=1)
-        for j, i in enumerate(live):
-            if screen and res[j] <= half:
-                continue
-            m = flat[i]
+        for m, floor, Hi in zip(flat, floors, controls):
             n = opnorm(m)
-            if n > floors[i] and math.isfinite(n):
+            if n > floor and math.isfinite(n):
                 v = complex(1.0 / n) * m
                 if span.add(v, tol) > tol:
-                    flag = _commutator_flag(T.hermiticity, controls[i].hermiticity)
+                    flag = _commutator_flag(T.hermiticity, Hi.hermiticity)
                     gens.append(Operator(v.reshape(T.dim, T.dim), flag))
-                    if screen:  # the later residuals, off the new row too
-                        N = span.rows[-1]
-                        E -= np.outer(V @ N.conj(), N)
-                        res = np.linalg.norm(E, axis=1)
 
     add(C, 0.0)
     if not gens:
@@ -177,7 +140,7 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
         for T in gens[start:before]:
             t_norm = T.norm()
             floors = 1e-12 * np.maximum(1.0, 2.0 * t_norm * control_norms)
-            if isinstance(T, Operator) and len(controls) > 1:
+            if isinstance(T, Operator) and controls:
                 add_block(T, floors)
             else:
                 for Hi, floor in zip(controls, floors):

@@ -497,18 +497,16 @@ class Span:
         if self.rank == 0:
             return MembershipResult(tnorm <= threshold, np.zeros(self.size, dtype=complex),
                                     tnorm, 0)
-        n_in = self._B.shape[0]
-        coeffs = self._v @ ((self._uh @ t[:n_in]) / self._s)
-        residual = float(np.linalg.norm(np.concatenate([self._B @ coeffs - t[:n_in],
-                                                        t[n_in:]])))
-        return MembershipResult(residual <= threshold, coeffs, residual, self.rank)
+        coeffs, off = self._project(t[None])
+        residual = float(np.linalg.norm(off[0]))
+        return MembershipResult(residual <= threshold, coeffs[0], residual, self.rank)
 
     def memberships(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`membership` of many plain-array targets, one per index of the
         first axis of `targets`, in one projection: the `is_member` and
-        `residual_norm` arrays.  A product of matrices rounds differently
-        from `membership`'s matrix-vector products, by about 1e-16 of each
-        target's norm."""
+        `residual_norm` arrays.  The projection is `membership`'s, made with
+        matrix products over the whole stack, so the residuals may differ
+        from one-target tests in the last bits."""
         t = np.asarray(targets, dtype=complex)
         t = t.reshape(len(t), math.prod(t.shape[1:]))
         self._check_size(t.shape[1], len(self.keys))
@@ -516,9 +514,17 @@ class Span:
         threshold = self.tol * np.maximum(1.0, tnorm)
         if self.rank == 0:
             return tnorm <= threshold, tnorm
-        coeffs = ((t @ self._uh.T) / self._s) @ self._v.T
-        residual = np.linalg.norm(coeffs @ self._B.T - t, axis=1)
+        residual = np.linalg.norm(self._project(t)[1], axis=1)
         return residual <= threshold, residual
+
+    def _project(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Minimum-norm coefficients and residuals of the rows of `t`, one
+        vectorized target each; entries past the basis key space are all
+        residual.  A single row takes matrix-vector products, whose bits the
+        residuals of `decide` and `verify_synthesis` keep."""
+        n_in = self._B.shape[0]
+        coeffs = ((t[:, :n_in] @ self._uh.T) / self._s) @ self._v.T
+        return coeffs, np.concatenate([coeffs @ self._B.T - t[:, :n_in], t[:, n_in:]], axis=1)
 
 
 class _IncrementalSpan:

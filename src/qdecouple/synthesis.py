@@ -155,13 +155,12 @@ def build_invariant_basis(model: SystemModel, lift_complement: bool = False,
     with the controls, in one stacked product per generator.  Brackets
     below 1e-13 times the largest basis norm count as zero; each run of
     partners that shares a span is tested in one projection
-    (`Span.memberships`), whose residuals differ from one-target tests by
-    rounding, about 1e-16 of the bracket's norm, so only a bracket that
-    close to the `tol` cutoff could be judged differently.  The first
-    violation in scan order (deltas, then complement operators, each with
-    its partners in the order above) is raised.  `lift_complement` tensors
-    the complement with {I, D, D^2} as well (the documented fallback
-    variation).
+    (`Span.memberships`), whose residual norms may differ from one-target
+    tests in the last bits, so only a bracket that close to the `tol`
+    cutoff could be judged differently.  The first violation in scan order
+    (deltas, then complement operators, each with its partners in the order
+    above) is raised.  `lift_complement` tensors the complement with
+    {I, D, D^2} as well (the documented fallback variation).
     """
     _check_restructured(model)
     env_powers = _environment_powers(model.params)

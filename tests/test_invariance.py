@@ -155,8 +155,8 @@ def test_frontier_walk_matches_full_walk(two_qubit_model, restructured_model, mo
     # the walk at cap k is the first k sweeps of the walk at a higher cap, so
     # one reference walk per case checks each of its caps.  Below rounding
     # (tol=1e-16) a re-tried pair may join, so the reference there is the
-    # pair-by-pair frontier walk, and no block screen may run: every
-    # candidate above the noise floor takes the in-order span test.
+    # pair-by-pair frontier walk, and every candidate above the noise floor
+    # must take the in-order span test, as it does there.
     span_tests = 0
     add = _IncrementalSpan.add
 
