@@ -50,12 +50,16 @@ DEFAULT_TOL = 1e-9
 
 @dataclass
 class OperatorDistribution:
-    """A finite set of unit-norm, linearly independent generators."""
+    """A finite set of unit-norm, linearly independent generators, with the
+    orthonormal rows of their span over the coefficient-family `keys` (each
+    key one vectorized d x d block, as `vectorize` lays it out)."""
 
     generators: list[OperatorLike]
     rank: int
     depth_reached: int
     converged: bool
+    basis: np.ndarray
+    keys: tuple[tuple[float, int], ...]
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,10 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
     control, [T, H_i], and once through the drift map [T, H] + dT/dt.  Pairs
     from earlier sweeps are not tried again: a rejected candidate changes
     nothing, and the span and its key columns only grow, so a pair rejected
-    once is rejected again.  Candidates below 1e-12 times the scale of their
+    once is rejected again, in exact arithmetic.  In floating point this
+    holds while `tol` is above rounding; at tol 1e-16 a re-tried pair may
+    join, and the two_qubit walk that re-tries every pair differs from this
+    one from cap 5.  Candidates below 1e-12 times the scale of their
     ingredients are cancellation noise, which normalizing would turn into
     spurious directions; the rest are normalized and join, in order, when
     their residual against the orthonormal basis exceeds `tol`, relative to
@@ -97,7 +104,9 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
     A constant generator is bracketed with all controls in one stacked
     product, each slice with the bits of its one-pair bracket, and an
     Operator is built only for a candidate that joins; a time-dependent
-    generator is bracketed pair by pair.
+    generator is bracketed pair by pair.  The span's orthonormal rows and
+    key list are returned with the generators, for condition 2 of
+    `check_controller_necessary`.
     """
     span = _IncrementalSpan()
     keys: list[tuple[float, int]] = []
@@ -151,8 +160,9 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
             converged = True
             break
         start = before
+    span.rows.setflags(write=False)
     return OperatorDistribution(generators=gens, rank=len(gens), depth_reached=depth,
-                                converged=converged)
+                                converged=converged, basis=span.rows, keys=tuple(keys))
 
 
 def check_open_loop_invariance(dist: OperatorDistribution, H_SE: Operator,
@@ -180,31 +190,50 @@ def check_controller_necessary(C: OperatorLike, dist: OperatorDistribution,
     2: every [T, H_SE] for T in the closure stays inside the closure's span.
     When both hold and moreover every [T, H_SE] vanishes, the map is already
     invariant in open loop.  `H_SE` is a skew-Hermitian generator.
+
+    Condition 2 is tested against the orthonormal rows the closure walk
+    built (`dist.basis`), so no span is factored here.  The constant
+    generators are bracketed with H_SE in one stacked product (a
+    time-dependent one pair by pair), each bracket whose relative norm
+    exceeds `tol` is projected onto the rows in one product, and the first
+    one whose residual exceeds `tol * max(1, |[T, H_SE]|)` is the witness.
     """
     kernel = kernel_dy_member(LinearVectorField(H_SE), C, tol)
     if not kernel.member:
         return InvarianceReport("necessary_failed", kernel.witness, (kernel.residual,))
 
+    gens = dist.generators
     h_norm = H_SE.norm()
-    residuals = [kernel.residual]
-    sufficient = True
-    span = None  # factored when the first generator fails to commute
-    for T in dist.generators:
-        R = commutator(T, H_SE)
-        rel_norm = R.norm() / max(T.norm() * h_norm, 1e-300)
-        if rel_norm > tol:
-            sufficient = False
-            if span is None:
-                span = Span(dist.generators, tol)
-            member = span.membership(R)
-            residuals.append(member.residual_norm / max(R.norm(), 1e-300))
-            if not member.is_member:
-                return InvarianceReport("necessary_failed", T, tuple(residuals))
+    # [T, H_SE] = -[H_SE, T] value for value, as IEEE subtraction is
+    # antisymmetric, so a constant generator's slice is commutator(T, H_SE)
+    block = iter(-_brackets(H_SE.matrix, _stack(
+        [T.matrix for T in gens if isinstance(T, Operator)], H_SE.dim)))
+    brackets, norms, off = [], [], []
+    for i, T in enumerate(gens):
+        if isinstance(T, Operator):
+            brackets.append(next(block))
+            norms.append(opnorm(brackets[i]))
         else:
-            residuals.append(0.0)
-    if sufficient:
-        return InvarianceReport("invariant", None, tuple(residuals))
-    return InvarianceReport("necessary_passed_sufficient_failed", None, tuple(residuals))
+            brackets.append(commutator(T, H_SE))
+            norms.append(brackets[i].norm())
+        if norms[i] / max(T.norm() * h_norm, 1e-300) > tol:
+            off.append(i)
+
+    # a bracket with the constant H_SE keeps its generator's coefficient
+    # families, so it lies in the closure's key space
+    residual = {}
+    if off:
+        t = np.stack([vectorize(brackets[i], dist.keys) for i in off])
+        t -= (t @ dist.basis.conj().T) @ dist.basis
+        residual = dict(zip(off, np.linalg.norm(t, axis=1).tolist()))
+    residuals = [kernel.residual]
+    for i, T in enumerate(gens):
+        r = residual.get(i, 0.0)  # 0.0 for a generator that commutes
+        residuals.append(r / max(norms[i], 1e-300))
+        if r > tol * max(1.0, norms[i]):
+            return InvarianceReport("necessary_failed", T, tuple(residuals))
+    verdict = "necessary_passed_sufficient_failed" if off else "invariant"
+    return InvarianceReport(verdict, None, tuple(residuals))
 
 
 @dataclass(frozen=True)
@@ -228,7 +257,9 @@ def decide(model: SystemModel, tol_rank: float = DEFAULT_TOL,
            tol_invariance: float = DEFAULT_TOL) -> Decision:
     """Closure, open-loop, necessity and ker(dy) checks of the coherence, and
     criterion 4 for the restructured model; spans are built at `tol_rank` and
-    every check decides at `tol_invariance` (ker(dy) at no less than 1e-10)."""
+    every check decides at `tol_invariance` (ker(dy) at no less than 1e-10).
+    The necessity check's condition 2 tests against the closure walk's own
+    orthonormal basis, criterion 4 against the SVD-factored control span."""
     C = model.coherence_op
     dist = generate_ctilde(C, model.drift, list(model.controls), tol=tol_rank)
     open_loop = check_open_loop_invariance(dist, model.interaction, tol_invariance)
@@ -240,8 +271,11 @@ def decide(model: SystemModel, tol_rank: float = DEFAULT_TOL,
     closes = worst = None
     if model.name == "restructured":
         span = Span(list(model.controls), tol_rank)
-        brackets = [commutator(g, model.interaction) for g in model.controls]
-        worst = max(span.membership(b).residual_norm / max(b.norm(), 1e-300)
+        H_SE = model.interaction
+        # [g, H_SE] as in condition 2; each bracket is tested on its own, as
+        # the printed worst residual keeps the bits of one-target projections
+        brackets = -_brackets(H_SE.matrix, _stack([g.matrix for g in model.controls], H_SE.dim))
+        worst = max(span.membership(b).residual_norm / max(opnorm(b), 1e-300)
                     for b in brackets)
         closes = worst <= tol_invariance
         passed = closes and kernel.member and necessary.verdict != "necessary_failed"

@@ -8,6 +8,7 @@ from qdecouple import (
     build_ancilla_system,
     build_electrooptic,
     build_one_qubit,
+    build_restructured,
     build_two_qubit,
     check_controller_necessary,
     check_open_loop_invariance,
@@ -18,7 +19,8 @@ from qdecouple import (
     make_primitive,
     operators,
 )
-from qdecouple.operators import TimeTerm, _collect_keys, _IncrementalSpan, vectorize
+from qdecouple.geometry import LinearVectorField, kernel_dy_member
+from qdecouple.operators import Span, TimeTerm, _collect_keys, _IncrementalSpan, vectorize
 from conftest import count_time_operators
 
 
@@ -336,6 +338,96 @@ def test_identity_interaction_trivially_invariant(two_qubit_model):
     report = check_controller_necessary(m.coherence_op, dist, ident)
     assert report.verdict == "invariant"
     assert max(report.residuals) <= 1e-12
+
+
+def _previous_necessary(C, dist, H_SE, tol=1e-9):
+    """`check_controller_necessary` as it was before condition 2 tested
+    against the closure walk's own rows: one SVD-factored `Span` of the
+    generators and one `commutator` and `membership` per generator, verbatim."""
+    kernel = kernel_dy_member(LinearVectorField(H_SE), C, tol)
+    if not kernel.member:
+        return invariance.InvarianceReport("necessary_failed", kernel.witness,
+                                           (kernel.residual,))
+
+    h_norm = H_SE.norm()
+    residuals = [kernel.residual]
+    sufficient = True
+    span = None  # factored when the first generator fails to commute
+    for T in dist.generators:
+        R = commutator(T, H_SE)
+        rel_norm = R.norm() / max(T.norm() * h_norm, 1e-300)
+        if rel_norm > tol:
+            sufficient = False
+            if span is None:
+                span = Span(dist.generators, tol)
+            member = span.membership(R)
+            residuals.append(member.residual_norm / max(R.norm(), 1e-300))
+            if not member.is_member:
+                return invariance.InvarianceReport("necessary_failed", T, tuple(residuals))
+        else:
+            residuals.append(0.0)
+    if sufficient:
+        return invariance.InvarianceReport("invariant", None, tuple(residuals))
+    return invariance.InvarianceReport("necessary_passed_sufficient_failed", None,
+                                       tuple(residuals))
+
+
+def test_necessary_matches_previous_check():
+    # the same verdict, witness and residual layout as the check that
+    # factored its own span, for converged and unconverged closures.  one_qubit
+    # and electro_optic fail condition 1, so each closure is also checked with
+    # the identity as C, which passes it and sends every generator, constant
+    # or time-dependent, to condition 2.  electro_optic at tol 1e-16 stops at
+    # cap 6: its closure at cap 12 has 3 073 generators and takes half a minute.
+    models = [build_one_qubit(), build_two_qubit(), build_restructured(),
+              build_electrooptic(), build_ancilla_system(ModelParams(env_levels=2))]
+    verdicts = set()
+    for model in models:
+        identity = Operator(np.eye(model.dim, dtype=complex), "hermitian")
+        for tol in (1e-9, 1e-16):
+            for cap in (3, 6, 12):
+                if model.name == "electro_optic" and tol < 1e-9 and cap > 6:
+                    continue
+                dist = generate_ctilde(model.coherence_op, model.drift, list(model.controls),
+                                       cap, tol)
+                for C in (model.coherence_op, identity):
+                    new = check_controller_necessary(C, dist, model.interaction, tol)
+                    old = _previous_necessary(C, dist, model.interaction, tol)
+                    case = (model.name, tol, cap, C is identity)
+                    assert new.verdict == old.verdict, case
+                    if len(old.residuals) == 1:  # condition 1's witness, built afresh
+                        assert _generator_bytes(new.witness) == _generator_bytes(old.witness), case
+                    else:
+                        assert new.witness is old.witness, case
+                    assert len(new.residuals) == len(old.residuals), case
+                    if max(old.residuals) > 1.0:
+                        # a projection never lengthens its target, but the SVD at
+                        # tol 1e-16 divides by singular values near 1e-16 of the
+                        # largest: a bracket wholly outside the span reads
+                        # 1.0000079 there, and 1 against the walk's rows
+                        assert case == ("electro_optic", 1e-16, 6, True)
+                        assert max(new.residuals) <= 1.0 + 1e-12
+                        continue
+                    assert np.allclose(new.residuals, old.residuals, rtol=0, atol=1e-12), case
+                    verdicts.add(new.verdict)
+    # the matrix reaches both a failing and a passing necessity verdict
+    assert verdicts == {"necessary_failed", "necessary_passed_sufficient_failed"}
+
+
+@pytest.mark.parametrize("build", [build_restructured,
+                                   lambda: build_ancilla_system(ModelParams(env_levels=2))],
+                         ids=["restructured", "ancilla"])
+def test_necessary_factors_no_span(build, monkeypatch):
+    # condition 2 tests against the rows the closure walk built
+    model = build()
+    dist = generate_ctilde(model.coherence_op, model.drift, list(model.controls))
+
+    def no_span(*args, **kwargs):
+        raise AssertionError("check_controller_necessary factored a Span")
+
+    monkeypatch.setattr(invariance, "Span", no_span)
+    report = check_controller_necessary(model.coherence_op, dist, model.interaction)
+    assert len(report.residuals) > 2  # condition 2 ran, past the first generator
 
 
 # ---------------------------------------------------------------------------
