@@ -17,6 +17,7 @@ from .operators import (
     DimensionMismatchError,
     Operator,
     OperatorLike,
+    _commutator_flag,
     commutator,
 )
 
@@ -70,11 +71,18 @@ def kernel_dy_member(K: LinearVectorField, C: OperatorLike,
     witness returned is [C, A] itself.  Time-dependent C is handled exactly
     inside the closed coefficient family.
     """
-    if K.generator.hermiticity != "skew_hermitian":
+    witness = commutator(C, K.generator)
+    return _kernel_member(C, K.generator, witness, witness.norm(), tol)
+
+
+def _kernel_member(C: OperatorLike, A: Operator, witness: OperatorLike | np.ndarray,
+                   wnorm: float, tol: float) -> KernelMembership:
+    """ker(dy)'s member rule on the one number |[C, A]| = `wnorm`: a member
+    when it is within `tol` |C| |A|.  A matrix `witness` becomes an Operator."""
+    if A.hermiticity != "skew_hermitian":
         raise ValueError("kernel_dy_member requires a skew-Hermitian generator "
                          "(the reduction to [C, A] uses A^+ = -A)")
-    witness = commutator(C, K.generator)
-    wnorm = witness.norm()
-    scale = max(C.norm() * K.generator.norm(), 1e-300)
+    if isinstance(witness, np.ndarray):
+        witness = Operator(witness, _commutator_flag(C.hermiticity, A.hermiticity))
+    scale = max(C.norm() * A.norm(), 1e-300)
     return KernelMembership(wnorm <= tol * scale, witness, wnorm / scale)
-

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import KernelMembership, LinearVectorField, kernel_dy_member
+from .geometry import KernelMembership, _kernel_member
 from .models import ModelParams, SystemModel, _coherence, _collective_dephasing
 from .operators import (
     Operator,
@@ -165,75 +165,86 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
                                 converged=converged, basis=span.rows, keys=tuple(keys))
 
 
-def check_open_loop_invariance(dist: OperatorDistribution, H_SE: Operator,
-                               tol: float = DEFAULT_TOL) -> InvarianceReport:
-    """Invariant iff every closure generator commutes with the interaction."""
+def _interaction_brackets(ops: Sequence[OperatorLike], H_SE: Operator) -> list[tuple]:
+    """(bracket, norm, relative norm |[T, H_SE]| / (|T| |H_SE|)) of every T in
+    `ops`: the one block that open-loop invariance, conditions 1 and 2 and
+    the ker(dy) line read.  The constant T share one stacked product and keep
+    their brackets as matrices, 0 - [H_SE, T] with the bits of
+    commutator(T, H_SE) (IEEE subtraction is antisymmetric, and subtracting
+    from 0 keeps an exact zero +0); a time-dependent T goes through
+    `commutator`."""
+    h_norm = H_SE.norm()
+    block = iter(0.0 - _brackets(H_SE.matrix, _stack(
+        [T.matrix for T in ops if isinstance(T, Operator)], H_SE.dim)))
+    rows = []
+    for T in ops:
+        R = next(block) if isinstance(T, Operator) else commutator(T, H_SE)
+        n = opnorm(R) if isinstance(T, Operator) else R.norm()
+        rows.append((R, n, n / max(T.norm() * h_norm, 1e-300)))
+    return rows
+
+
+def _open_loop(dist: OperatorDistribution, rows: list, tol: float) -> InvarianceReport:
+    """Open-loop invariance read off the generators' block rows in order."""
     if not dist.converged:
         warnings.warn("distribution closure did not converge; verdict may be premature",
-                      stacklevel=2)
-    h_norm = H_SE.norm()
-    residuals = []
-    for T in dist.generators:
-        R = commutator(T, H_SE)
-        rel = R.norm() / max(T.norm() * h_norm, 1e-300)
-        residuals.append(rel)
+                      stacklevel=3)
+    for i, (T, (_, _, rel)) in enumerate(zip(dist.generators, rows)):
         if rel > tol:
-            return InvarianceReport("not_invariant", T, tuple(residuals))
-    return InvarianceReport("invariant", None, tuple(residuals))
+            return InvarianceReport("not_invariant", T, tuple(r[2] for r in rows[:i + 1]))
+    return InvarianceReport("invariant", None, tuple(r[2] for r in rows))
+
+
+def _necessary(kernel: KernelMembership, dist: OperatorDistribution, rows: list,
+               tol: float) -> InvarianceReport:
+    """Condition 1, decided in `kernel`, then condition 2 read off the
+    generators' block rows."""
+    if not kernel.member:
+        return InvarianceReport("necessary_failed", kernel.witness, (kernel.residual,))
+    off = [i for i, (_, _, rel) in enumerate(rows) if rel > tol]
+    # a bracket with the constant H_SE keeps its generator's coefficient
+    # families, so it lies in the closure's key space
+    residual = {}
+    if off:
+        t = np.stack([vectorize(rows[i][0], dist.keys) for i in off])
+        t -= (t @ dist.basis.conj().T) @ dist.basis
+        residual = dict(zip(off, np.linalg.norm(t, axis=1).tolist()))
+    residuals = [kernel.residual]
+    for i, (T, (_, n, _)) in enumerate(zip(dist.generators, rows)):
+        r = residual.get(i, 0.0)  # 0.0 for a generator that commutes
+        residuals.append(r / max(n, 1e-300))
+        if r > tol * max(1.0, n):
+            return InvarianceReport("necessary_failed", T, tuple(residuals))
+    verdict = "necessary_passed_sufficient_failed" if off else "invariant"
+    return InvarianceReport(verdict, None, tuple(residuals))
+
+
+def check_open_loop_invariance(dist: OperatorDistribution, H_SE: Operator,
+                               tol: float = DEFAULT_TOL) -> InvarianceReport:
+    """Invariant iff every closure generator commutes with the interaction:
+    the first generator whose bracket's relative norm exceeds `tol` is the
+    witness, and the residuals run up to it.  An unconverged closure warns."""
+    return _open_loop(dist, _interaction_brackets(dist.generators, H_SE), tol)
 
 
 def check_controller_necessary(C: OperatorLike, dist: OperatorDistribution,
                                H_SE: Operator, tol: float = DEFAULT_TOL) -> InvarianceReport:
     """Necessary conditions for decouplability by state feedback.
 
-    Condition 1: [C, H_SE] = 0, the interaction field in ker(dy).  Condition
-    2: every [T, H_SE] for T in the closure stays inside the closure's span.
-    When both hold and moreover every [T, H_SE] vanishes, the map is already
-    invariant in open loop.  `H_SE` is a skew-Hermitian generator.
+    Condition 1: [C, H_SE] = 0, the interaction field in ker(dy), by its
+    member rule at `tol`.  Condition 2: every [T, H_SE] for T in the closure
+    stays inside the closure's span.  When both hold and moreover every
+    [T, H_SE] vanishes, the map is already invariant in open loop.  `H_SE`
+    is a skew-Hermitian generator.
 
-    Condition 2 is tested against the orthonormal rows the closure walk
-    built (`dist.basis`), so no span is factored here.  The constant
-    generators are bracketed with H_SE in one stacked product (a
-    time-dependent one pair by pair), each bracket whose relative norm
-    exceeds `tol` is projected onto the rows in one product, and the first
-    one whose residual exceeds `tol * max(1, |[T, H_SE]|)` is the witness.
+    C and the generators are bracketed with H_SE once.  Condition 2 tests
+    against the orthonormal rows the closure walk built (`dist.basis`): each
+    bracket whose relative norm exceeds `tol` is projected onto them in one
+    product, and the first one whose residual exceeds
+    `tol * max(1, |[T, H_SE]|)` is the witness.
     """
-    kernel = kernel_dy_member(LinearVectorField(H_SE), C, tol)
-    if not kernel.member:
-        return InvarianceReport("necessary_failed", kernel.witness, (kernel.residual,))
-
-    gens = dist.generators
-    h_norm = H_SE.norm()
-    # [T, H_SE] = -[H_SE, T] value for value, as IEEE subtraction is
-    # antisymmetric, so a constant generator's slice is commutator(T, H_SE)
-    block = iter(-_brackets(H_SE.matrix, _stack(
-        [T.matrix for T in gens if isinstance(T, Operator)], H_SE.dim)))
-    brackets, norms, off = [], [], []
-    for i, T in enumerate(gens):
-        if isinstance(T, Operator):
-            brackets.append(next(block))
-            norms.append(opnorm(brackets[i]))
-        else:
-            brackets.append(commutator(T, H_SE))
-            norms.append(brackets[i].norm())
-        if norms[i] / max(T.norm() * h_norm, 1e-300) > tol:
-            off.append(i)
-
-    # a bracket with the constant H_SE keeps its generator's coefficient
-    # families, so it lies in the closure's key space
-    residual = {}
-    if off:
-        t = np.stack([vectorize(brackets[i], dist.keys) for i in off])
-        t -= (t @ dist.basis.conj().T) @ dist.basis
-        residual = dict(zip(off, np.linalg.norm(t, axis=1).tolist()))
-    residuals = [kernel.residual]
-    for i, T in enumerate(gens):
-        r = residual.get(i, 0.0)  # 0.0 for a generator that commutes
-        residuals.append(r / max(norms[i], 1e-300))
-        if r > tol * max(1.0, norms[i]):
-            return InvarianceReport("necessary_failed", T, tuple(residuals))
-    verdict = "necessary_passed_sufficient_failed" if off else "invariant"
-    return InvarianceReport(verdict, None, tuple(residuals))
+    (W, w_norm, _), *rows = _interaction_brackets([C, *dist.generators], H_SE)
+    return _necessary(_kernel_member(C, H_SE, W, w_norm, tol), dist, rows, tol)
 
 
 @dataclass(frozen=True)
@@ -256,22 +267,28 @@ class Decision:
 def decide(model: SystemModel, tol_rank: float = DEFAULT_TOL,
            tol_invariance: float = DEFAULT_TOL) -> Decision:
     """Closure, open-loop, necessity and ker(dy) checks of the coherence, and
-    criterion 4 for the restructured model; spans are built at `tol_rank` and
-    every check decides at `tol_invariance` (ker(dy) at no less than 1e-10).
-    The necessity check's condition 2 tests against the closure walk's own
+    criterion 4 for the restructured model; spans are built at `tol_rank`.
+
+    C and every closure generator are bracketed with H_SE once, and the
+    four checks read that one block: open-loop invariance and condition 2
+    at `tol_invariance`, and ker(dy)'s member rule on [C, H_SE] at
+    `tol_invariance` for condition 1 and at no less than 1e-10 for the
+    ker(dy) line.  Condition 2 tests against the closure walk's own
     orthonormal basis, criterion 4 against the SVD-factored control span."""
-    C = model.coherence_op
+    C, H_SE = model.coherence_op, model.interaction
     dist = generate_ctilde(C, model.drift, list(model.controls), tol=tol_rank)
-    open_loop = check_open_loop_invariance(dist, model.interaction, tol_invariance)
-    necessary = check_controller_necessary(C, dist, model.interaction, tol_invariance)
-    kernel = kernel_dy_member(model.interaction_field(), C, max(tol_invariance, 1e-10))
-    # both checks test the same commutators at the same cutoff, so a closure
-    # that is not invariant in open loop is not invariant for `necessary`
+    (W, w_norm, _), *rows = _interaction_brackets([C, *dist.generators], H_SE)
+    open_loop = _open_loop(dist, rows, tol_invariance)
+    necessary = _necessary(_kernel_member(C, H_SE, W, w_norm, tol_invariance), dist, rows,
+                           tol_invariance)
+    kernel = _kernel_member(C, H_SE, W, w_norm, max(tol_invariance, 1e-10))
+    # open loop and condition 2 compare the same relative norms with the same
+    # cutoff, so a closure that is not invariant in open loop is not
+    # invariant for `necessary`
     verdict = "invariant" if open_loop.verdict == "invariant" else necessary.verdict
     closes = worst = None
     if model.name == "restructured":
         span = Span(list(model.controls), tol_rank)
-        H_SE = model.interaction
         # [g, H_SE] as in condition 2; each bracket is tested on its own, as
         # the printed worst residual keeps the bits of one-target projections
         brackets = -_brackets(H_SE.matrix, _stack([g.matrix for g in model.controls], H_SE.dim))

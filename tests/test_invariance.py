@@ -1,3 +1,6 @@
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,11 +18,12 @@ from qdecouple import (
     commutator,
     find_dfs_coherences,
     generate_ctilde,
+    geometry,
     invariance,
     make_primitive,
     operators,
 )
-from qdecouple.geometry import LinearVectorField, kernel_dy_member
+from qdecouple.geometry import LinearVectorField, _kernel_member, kernel_dy_member
 from qdecouple.operators import Span, TimeTerm, _collect_keys, _IncrementalSpan, vectorize
 from conftest import count_time_operators
 
@@ -412,6 +416,134 @@ def test_necessary_matches_previous_check():
                     verdicts.add(new.verdict)
     # the matrix reaches both a failing and a passing necessity verdict
     assert verdicts == {"necessary_failed", "necessary_passed_sufficient_failed"}
+
+
+def _previous_open_loop(dist, H_SE, tol=1e-9):
+    """`check_open_loop_invariance`'s loop as it was before the bracket block:
+    one `commutator` per generator up to the first that does not commute,
+    verbatim (its unconverged-closure warning left out)."""
+    h_norm = H_SE.norm()
+    residuals = []
+    for T in dist.generators:
+        R = commutator(T, H_SE)
+        rel = R.norm() / max(T.norm() * h_norm, 1e-300)
+        residuals.append(rel)
+        if rel > tol:
+            return invariance.InvarianceReport("not_invariant", T, tuple(residuals))
+    return invariance.InvarianceReport("invariant", None, tuple(residuals))
+
+
+def _previous_kernel(model, C, tol):
+    """`decide`'s ker(dy) line as it was before the bracket block, verbatim."""
+    return kernel_dy_member(model.interaction_field(), C, max(tol, 1e-10))
+
+
+def _assert_same_open_loop(new, old, dist, case):
+    assert new.verdict == old.verdict, case
+    assert new.witness is old.witness, case  # a closure generator, or None
+    assert len(new.residuals) == len(old.residuals), case
+    for T, a, b in zip(dist.generators, new.residuals, old.residuals):
+        if isinstance(T, TimeOperator):
+            assert abs(a - b) <= 1e-15 * max(abs(b), 1e-300), case
+        else:
+            assert a == b, case
+
+
+def _assert_same_kernel(new, old, case):
+    assert (new.member, new.residual) == (old.member, old.residual), case
+    assert _generator_bytes(new.witness) == _generator_bytes(old.witness), case
+    assert type(new.witness) is type(old.witness), case
+    if isinstance(old.witness, Operator):
+        assert new.witness.hermiticity == old.witness.hermiticity, case
+
+
+def test_bracket_block_matches_previous_open_loop_and_kernel():
+    # open-loop invariance and the ker(dy) line read off the one bracket
+    # block give the verdicts, witnesses, residuals and memberships of the
+    # per-generator loop and the separate kernel_dy_member call, over the
+    # matrix of test_necessary_matches_previous_check, with C both the
+    # coherence and the identity; `decide` is checked at both tolerances
+    models = [build_one_qubit(), build_two_qubit(), build_restructured(),
+              build_electrooptic(), build_ancilla_system(ModelParams(env_levels=2))]
+    verdicts = set()
+    for model in models:
+        H_SE = model.interaction
+        identity = Operator(np.eye(model.dim, dtype=complex), "hermitian")
+        for tol in (1e-9, 1e-16):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                decision = invariance.decide(model, tol_invariance=tol)
+            _assert_same_open_loop(decision.open_loop,
+                                   _previous_open_loop(decision.closure, H_SE, tol),
+                                   decision.closure, (model.name, tol))
+            _assert_same_kernel(decision.kernel,
+                                _previous_kernel(model, model.coherence_op, tol), (model.name, tol))
+            for cap in (3, 6, 12):
+                if model.name == "electro_optic" and tol < 1e-9 and cap > 6:
+                    continue
+                dist = generate_ctilde(model.coherence_op, model.drift, list(model.controls),
+                                       cap, tol)
+                old = _previous_open_loop(dist, H_SE, tol)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    new = check_open_loop_invariance(dist, H_SE, tol)
+                _assert_same_open_loop(new, old, dist, (model.name, tol, cap))
+                verdicts.add(new.verdict)
+                for C in (model.coherence_op, identity):
+                    case = (model.name, tol, cap, C is identity)
+                    (W, w_norm, _), *rows = invariance._interaction_brackets(
+                        [C, *dist.generators], H_SE)
+                    _assert_same_kernel(_kernel_member(C, H_SE, W, w_norm, max(tol, 1e-10)),
+                                        _previous_kernel(model, C, tol), case)
+                    _assert_same_kernel(_kernel_member(C, H_SE, W, w_norm, tol),
+                                        kernel_dy_member(LinearVectorField(H_SE), C, tol), case)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        _assert_same_open_loop(invariance._open_loop(dist, rows, tol), old,
+                                               dist, case)
+    # no shipped closure commutes with H_SE; the two_qubit pair without
+    # controls does, so the invariant path is read too
+    m = models[1]
+    dist = generate_ctilde(m.coherence_op, m.drift, [])
+    new = check_open_loop_invariance(dist, m.interaction)
+    _assert_same_open_loop(new, _previous_open_loop(dist, m.interaction), dist, "no controls")
+    assert verdicts | {new.verdict} == {"invariant", "not_invariant"}
+
+
+@pytest.mark.parametrize("build", [build_two_qubit, build_restructured, build_electrooptic],
+                         ids=["two_qubit", "restructured", "electro_optic"])
+def test_decide_brackets_each_generator_with_interaction_once(build, monkeypatch):
+    # C and every closure generator meet H_SE in exactly one bracket: a row
+    # of a stacked product with the H_SE matrix, or a commutator(T, H_SE)
+    # call for a time-dependent T.  The restructured model's criterion 4
+    # brackets its controls with H_SE too, a family of its own.
+    model = build()
+    H_SE = model.interaction
+    seen = Counter()
+    brackets, bracket = operators._brackets, operators.commutator
+
+    def counted_brackets(x, ys):
+        if x is H_SE.matrix:
+            seen.update(y.tobytes() for y in ys)
+        return brackets(x, ys)
+
+    def counted_commutator(A, B):
+        if B is H_SE:
+            seen[id(A)] += 1
+        return bracket(A, B)
+
+    monkeypatch.setattr(invariance, "_brackets", counted_brackets)
+    monkeypatch.setattr(invariance, "commutator", counted_commutator)
+    monkeypatch.setattr(geometry, "commutator", counted_commutator)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        decision = invariance.decide(model)
+    ops = [model.coherence_op, *decision.closure.generators]
+    keys = [T.matrix.tobytes() if isinstance(T, Operator) else id(T) for T in ops]
+    assert [seen[k] for k in keys] == [1] * len(ops)
+    criterion_4 = len(model.controls) if model.name == "restructured" else 0
+    assert sum(seen.values()) == len(ops) + criterion_4
+    assert any(isinstance(T, TimeOperator) for T in ops) == (model.name == "electro_optic")
 
 
 @pytest.mark.parametrize("build", [build_restructured,
