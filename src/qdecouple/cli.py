@@ -296,12 +296,15 @@ class _Report:
 # subcommands
 # ---------------------------------------------------------------------------
 
-# Decision.verdict -> (exit code, VERDICT line)
+# Decision.verdict -> (exit code, VERDICT line); a failed necessity check
+# names its condition, read from Decision.condition_1
 _VERDICTS = {
     "invariant": (0, "INVARIANT (open loop, immune without controls)"),
     "decouplable": (0, "DECOUPLABLE (controlled sufficiency conditions hold)"),
     "not_decouplable": (2, "NOT DECOUPLABLE"),
-    "necessary_failed": (2, "NOT DECOUPLABLE: [C, H_SE] != 0 or closure escapes"),
+    "necessary_failed": (2, "NOT DECOUPLABLE: condition 1 fails, [C, H_SE] != 0"),
+    "closure_escapes": (2, "NOT DECOUPLABLE: condition 2 fails, a bracket [T, H_SE] "
+                           "leaves the closure's span"),
     "necessary_passed_sufficient_failed":
         (2, "NOT OPEN-LOOP INVARIANT; controller necessary conditions hold"),
 }
@@ -321,7 +324,8 @@ def _cmd_check(cfg: RunConfig) -> int:
         rep.add(f"control brackets with interaction close into the control span: "
                 f"{decision.brackets_close} (worst relative residual "
                 f"{decision.bracket_residual:.3e})")
-    exit_code, line = _VERDICTS[decision.verdict]
+    escapes = decision.verdict == "necessary_failed" and decision.condition_1.member
+    exit_code, line = _VERDICTS["closure_escapes" if escapes else decision.verdict]
     rep.add(f"VERDICT: {line}")
     rep.write(f"check_{cfg.model}.txt")
     return exit_code

@@ -251,15 +251,19 @@ def check_controller_necessary(C: OperatorLike, dist: OperatorDistribution,
 class Decision:
     """The decouplability verdict of one model and the checks it rests on:
     invariant or decouplable (the positive ones), not_decouplable,
-    necessary_failed or necessary_passed_sufficient_failed.  Criterion 4's
-    worst relative residual of [g, H_SE] against span(G), and whether it is
-    within tolerance, are set for the restructured model only."""
+    necessary_failed or necessary_passed_sufficient_failed.  `kernel` (the
+    ker(dy) line) and `condition_1` (condition 1 of `necessary`) are
+    ker(dy)'s member rule on the one number |[C, H_SE]|, at no less than
+    1e-10 and at `tol_invariance`.  Criterion 4's worst relative residual
+    of [g, H_SE] against span(G), and whether it is within tolerance, are
+    set for the restructured model only."""
 
     verdict: str
     closure: OperatorDistribution
     open_loop: InvarianceReport
     necessary: InvarianceReport
     kernel: KernelMembership
+    condition_1: KernelMembership
     brackets_close: Optional[bool] = None
     bracket_residual: Optional[float] = None
 
@@ -279,8 +283,8 @@ def decide(model: SystemModel, tol_rank: float = DEFAULT_TOL,
     dist = generate_ctilde(C, model.drift, list(model.controls), tol=tol_rank)
     (W, w_norm, _), *rows = _interaction_brackets([C, *dist.generators], H_SE)
     open_loop = _open_loop(dist, rows, tol_invariance)
-    necessary = _necessary(_kernel_member(C, H_SE, W, w_norm, tol_invariance), dist, rows,
-                           tol_invariance)
+    condition_1 = _kernel_member(C, H_SE, W, w_norm, tol_invariance)
+    necessary = _necessary(condition_1, dist, rows, tol_invariance)
     kernel = _kernel_member(C, H_SE, W, w_norm, max(tol_invariance, 1e-10))
     # open loop and condition 2 compare the same relative norms with the same
     # cutoff, so a closure that is not invariant in open loop is not
@@ -297,7 +301,7 @@ def decide(model: SystemModel, tol_rank: float = DEFAULT_TOL,
         closes = worst <= tol_invariance
         passed = closes and kernel.member and necessary.verdict != "necessary_failed"
         verdict = "decouplable" if passed else "not_decouplable"
-    return Decision(verdict, dist, open_loop, necessary, kernel, closes, worst)
+    return Decision(verdict, dist, open_loop, necessary, kernel, condition_1, closes, worst)
 
 
 def _check_dfs_qubits(n_qubits: int):

@@ -374,7 +374,7 @@ CHECK_REPORTS = [
         "open-loop invariance: not_invariant",
         "controller necessity: necessary_failed",
         "interaction field in ker(dy): False (relative witness norm 8.165e-01)",
-        "VERDICT: NOT DECOUPLABLE: [C, H_SE] != 0 or closure escapes",
+        "VERDICT: NOT DECOUPLABLE: condition 1 fails, [C, H_SE] != 0",
     ], id="one_qubit"),
     pytest.param(["--model", "two_qubit"], 2, [
         "schema-version: 1",
@@ -384,7 +384,7 @@ CHECK_REPORTS = [
         "open-loop invariance: not_invariant",
         "controller necessity: necessary_failed",
         "interaction field in ker(dy): True (relative witness norm 0.000e+00)",
-        "VERDICT: NOT DECOUPLABLE: [C, H_SE] != 0 or closure escapes",
+        "VERDICT: NOT DECOUPLABLE: condition 2 fails, a bracket [T, H_SE] leaves the closure's span",
     ], id="two_qubit"),
     pytest.param(["--model", "restructured"], 0, [
         "schema-version: 1",
@@ -405,7 +405,7 @@ CHECK_REPORTS = [
         "open-loop invariance: not_invariant",
         "controller necessity: necessary_failed",
         "interaction field in ker(dy): False (relative witness norm 8.607e-02)",
-        "VERDICT: NOT DECOUPLABLE: [C, H_SE] != 0 or closure escapes",
+        "VERDICT: NOT DECOUPLABLE: condition 1 fails, [C, H_SE] != 0",
     ], id="electro_optic"),
     pytest.param(["--model", "ancilla", "--env-levels", "2"], 2, [
         "schema-version: 1",
@@ -415,7 +415,7 @@ CHECK_REPORTS = [
         "open-loop invariance: not_invariant",
         "controller necessity: necessary_failed",
         "interaction field in ker(dy): True (relative witness norm 0.000e+00)",
-        "VERDICT: NOT DECOUPLABLE: [C, H_SE] != 0 or closure escapes",
+        "VERDICT: NOT DECOUPLABLE: condition 2 fails, a bracket [T, H_SE] leaves the closure's span",
     ], id="ancilla-env2"),
     pytest.param(["--model", "restructured", "--env-levels", "2"], 0, [
         "schema-version: 1",
