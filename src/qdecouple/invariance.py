@@ -166,13 +166,10 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
 
 
 def _interaction_brackets(ops: Sequence[OperatorLike], H_SE: Operator) -> list[tuple]:
-    """(bracket, norm, relative norm |[T, H_SE]| / (|T| |H_SE|)) of every T in
-    `ops`: the one block that open-loop invariance, conditions 1 and 2 and
-    the ker(dy) line read.  The constant T share one stacked product and keep
-    their brackets as matrices, 0 - [H_SE, T] with the bits of
-    commutator(T, H_SE) (IEEE subtraction is antisymmetric, and subtracting
-    from 0 keeps an exact zero +0); a time-dependent T goes through
-    `commutator`."""
+    """(bracket, norm, relative norm) of [T, H_SE] for every T in `ops`, each
+    computed once.  Constant T share one stacked product, 0 - [H_SE, T], whose
+    slices keep the bits of commutator(T, H_SE) (IEEE subtraction is
+    antisymmetric; negating would turn +0 into -0); the others use it."""
     h_norm = H_SE.norm()
     block = iter(0.0 - _brackets(H_SE.matrix, _stack(
         [T.matrix for T in ops if isinstance(T, Operator)], H_SE.dim)))
@@ -197,8 +194,7 @@ def _open_loop(dist: OperatorDistribution, rows: list, tol: float) -> Invariance
 
 def _necessary(kernel: KernelMembership, dist: OperatorDistribution, rows: list,
                tol: float) -> InvarianceReport:
-    """Condition 1, decided in `kernel`, then condition 2 read off the
-    generators' block rows."""
+    """Condition 1, decided in `kernel`, then condition 2 off the block rows."""
     if not kernel.member:
         return InvarianceReport("necessary_failed", kernel.witness, (kernel.residual,))
     off = [i for i, (_, _, rel) in enumerate(rows) if rel > tol]
@@ -221,9 +217,8 @@ def _necessary(kernel: KernelMembership, dist: OperatorDistribution, rows: list,
 
 def check_open_loop_invariance(dist: OperatorDistribution, H_SE: Operator,
                                tol: float = DEFAULT_TOL) -> InvarianceReport:
-    """Invariant iff every closure generator commutes with the interaction:
-    the first generator whose bracket's relative norm exceeds `tol` is the
-    witness, and the residuals run up to it.  An unconverged closure warns."""
+    """Invariant iff every closure generator commutes with the interaction,
+    read in order off one bracket pass; an unconverged closure warns."""
     return _open_loop(dist, _interaction_brackets(dist.generators, H_SE), tol)
 
 
@@ -231,17 +226,16 @@ def check_controller_necessary(C: OperatorLike, dist: OperatorDistribution,
                                H_SE: Operator, tol: float = DEFAULT_TOL) -> InvarianceReport:
     """Necessary conditions for decouplability by state feedback.
 
-    Condition 1: [C, H_SE] = 0, the interaction field in ker(dy), by its
-    member rule at `tol`.  Condition 2: every [T, H_SE] for T in the closure
-    stays inside the closure's span.  When both hold and moreover every
-    [T, H_SE] vanishes, the map is already invariant in open loop.  `H_SE`
-    is a skew-Hermitian generator.
+    Condition 1: [C, H_SE] = 0, the interaction field in ker(dy).  Condition
+    2: every [T, H_SE] for T in the closure stays inside the closure's span.
+    When both hold and moreover every [T, H_SE] vanishes, the map is already
+    invariant in open loop.  `H_SE` is a skew-Hermitian generator.
 
-    C and the generators are bracketed with H_SE once.  Condition 2 tests
-    against the orthonormal rows the closure walk built (`dist.basis`): each
-    bracket whose relative norm exceeds `tol` is projected onto them in one
-    product, and the first one whose residual exceeds
-    `tol * max(1, |[T, H_SE]|)` is the witness.
+    C and the generators are bracketed with H_SE in one pass.  Condition 2
+    is tested against the orthonormal rows the closure walk built
+    (`dist.basis`): each bracket whose relative norm exceeds `tol` is
+    projected onto them in one product, and the first one whose residual
+    exceeds `tol * max(1, |[T, H_SE]|)` is the witness.
     """
     (W, w_norm, _), *rows = _interaction_brackets([C, *dist.generators], H_SE)
     return _necessary(_kernel_member(C, H_SE, W, w_norm, tol), dist, rows, tol)
@@ -252,11 +246,10 @@ class Decision:
     """The decouplability verdict of one model and the checks it rests on:
     invariant or decouplable (the positive ones), not_decouplable,
     necessary_failed or necessary_passed_sufficient_failed.  `kernel` (the
-    ker(dy) line) and `condition_1` (condition 1 of `necessary`) are
-    ker(dy)'s member rule on the one number |[C, H_SE]|, at no less than
-    1e-10 and at `tol_invariance`.  Criterion 4's worst relative residual
-    of [g, H_SE] against span(G), and whether it is within tolerance, are
-    set for the restructured model only."""
+    ker(dy) line) and `condition_1` apply ker(dy)'s member rule to one
+    |[C, H_SE]|.  Criterion 4's worst relative residual of [g, H_SE] against
+    span(G), and whether it is within tolerance, are set for the
+    restructured model only."""
 
     verdict: str
     closure: OperatorDistribution
@@ -272,13 +265,10 @@ def decide(model: SystemModel, tol_rank: float = DEFAULT_TOL,
            tol_invariance: float = DEFAULT_TOL) -> Decision:
     """Closure, open-loop, necessity and ker(dy) checks of the coherence, and
     criterion 4 for the restructured model; spans are built at `tol_rank`.
-
-    C and every closure generator are bracketed with H_SE once, and the
-    four checks read that one block: open-loop invariance and condition 2
-    at `tol_invariance`, and ker(dy)'s member rule on [C, H_SE] at
-    `tol_invariance` for condition 1 and at no less than 1e-10 for the
-    ker(dy) line.  Condition 2 tests against the closure walk's own
-    orthonormal basis, criterion 4 against the SVD-factored control span."""
+    C and every closure generator are bracketed with H_SE in one pass that
+    all four checks read, each at `tol_invariance` (ker(dy) at no less than
+    1e-10).  Condition 2 tests against the closure walk's own orthonormal
+    basis, criterion 4 against the SVD-factored control span."""
     C, H_SE = model.coherence_op, model.interaction
     dist = generate_ctilde(C, model.drift, list(model.controls), tol=tol_rank)
     (W, w_norm, _), *rows = _interaction_brackets([C, *dist.generators], H_SE)
@@ -286,9 +276,8 @@ def decide(model: SystemModel, tol_rank: float = DEFAULT_TOL,
     condition_1 = _kernel_member(C, H_SE, W, w_norm, tol_invariance)
     necessary = _necessary(condition_1, dist, rows, tol_invariance)
     kernel = _kernel_member(C, H_SE, W, w_norm, max(tol_invariance, 1e-10))
-    # open loop and condition 2 compare the same relative norms with the same
-    # cutoff, so a closure that is not invariant in open loop is not
-    # invariant for `necessary`
+    # open loop and condition 2 read the same relative norms at the same
+    # cutoff, so a closure not invariant in open loop is not for `necessary`
     verdict = "invariant" if open_loop.verdict == "invariant" else necessary.verdict
     closes = worst = None
     if model.name == "restructured":
