@@ -169,7 +169,7 @@ def _interaction_brackets(ops: Sequence[OperatorLike], H_SE: Operator) -> list[t
     """(bracket, norm, relative norm) of [T, H_SE] for every T in `ops`, each
     computed once.  Constant T share one stacked product, 0 - [H_SE, T], whose
     slices keep the bits of commutator(T, H_SE) (IEEE subtraction is
-    antisymmetric; negating would turn +0 into -0); the others use it."""
+    antisymmetric; negating would turn +0 into -0); others use `commutator`."""
     h_norm = H_SE.norm()
     block = iter(0.0 - _brackets(H_SE.matrix, _stack(
         [T.matrix for T in ops if isinstance(T, Operator)], H_SE.dim)))
@@ -247,9 +247,9 @@ class Decision:
     invariant or decouplable (the positive ones), not_decouplable,
     necessary_failed or necessary_passed_sufficient_failed.  `kernel` (the
     ker(dy) line) and `condition_1` apply ker(dy)'s member rule to one
-    |[C, H_SE]|.  Criterion 4's worst relative residual of [g, H_SE] against
-    span(G), and whether it is within tolerance, are set for the
-    restructured model only."""
+    |[C, H_SE]|, at no less than 1e-10 and at `tol_invariance`.  Criterion
+    4's worst relative residual of [g, H_SE] against span(G), and whether it
+    is within tolerance, are set for the restructured model only."""
 
     verdict: str
     closure: OperatorDistribution
