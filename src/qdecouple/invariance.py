@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -104,9 +104,11 @@ def generate_ctilde(C: OperatorLike, H: Operator, controls: Sequence[Operator],
     A constant generator is bracketed with all controls in one stacked
     product, each slice with the bits of its one-pair bracket, and an
     Operator is built only for a candidate that joins; a time-dependent
-    generator is bracketed pair by pair.  The span's orthonormal rows and
-    key list are returned with the generators, for condition 2 of
-    `check_controller_necessary`.
+    generator is bracketed pair by pair.  The span tests each candidate on
+    its smaller side: once the rows fill half of a key space of at least
+    100 entries, against their orthogonal complement (`_IncrementalSpan`).
+    The span's orthonormal rows and key list are returned with the
+    generators, for condition 2 of `check_controller_necessary`.
     """
     span = _IncrementalSpan()
     keys: list[tuple[float, int]] = []
@@ -181,15 +183,20 @@ def _interaction_brackets(ops: Sequence[OperatorLike], H_SE: Operator) -> list[t
     return rows
 
 
-def _open_loop(dist: OperatorDistribution, rows: list, tol: float) -> InvarianceReport:
-    """Open-loop invariance read off the generators' block rows in order."""
+def _open_loop(dist: OperatorDistribution, rows: Iterable[tuple],
+               tol: float) -> InvarianceReport:
+    """Open-loop invariance read off the generators' block rows in order;
+    `rows` may be an iterator, which is read up to the first generator that
+    does not commute with the interaction."""
     if not dist.converged:
         warnings.warn("distribution closure did not converge; verdict may be premature",
                       stacklevel=3)
-    for i, (T, (_, _, rel)) in enumerate(zip(dist.generators, rows)):
+    residuals = []
+    for T, (_, _, rel) in zip(dist.generators, rows):
+        residuals.append(rel)
         if rel > tol:
-            return InvarianceReport("not_invariant", T, tuple(r[2] for r in rows[:i + 1]))
-    return InvarianceReport("invariant", None, tuple(r[2] for r in rows))
+            return InvarianceReport("not_invariant", T, tuple(residuals))
+    return InvarianceReport("invariant", None, tuple(residuals))
 
 
 def _necessary(kernel: KernelMembership, dist: OperatorDistribution, rows: list,
@@ -265,15 +272,23 @@ def decide(model: SystemModel, tol_rank: float = DEFAULT_TOL,
            tol_invariance: float = DEFAULT_TOL) -> Decision:
     """Closure, open-loop, necessity and ker(dy) checks of the coherence, and
     criterion 4 for the restructured model; spans are built at `tol_rank`.
-    C and every closure generator are bracketed with H_SE in one pass that
-    all four checks read, each at `tol_invariance` (ker(dy) at no less than
-    1e-10).  Condition 2 tests against the closure walk's own orthonormal
-    basis, criterion 4 against the SVD-factored control span."""
+    C is bracketed with H_SE first, for condition 1 and the ker(dy) line.
+    When condition 1 holds, every closure generator is bracketed in one
+    pass that open loop and condition 2 read; when it fails, necessity has
+    failed and only open loop reads the generators, so they are bracketed
+    one at a time up to its first non-commuting one.  Each check
+    reads at `tol_invariance` (ker(dy) at no less than 1e-10).  Condition 2
+    tests against the closure walk's own orthonormal basis, criterion 4
+    against the SVD-factored control span."""
     C, H_SE = model.coherence_op, model.interaction
     dist = generate_ctilde(C, model.drift, list(model.controls), tol=tol_rank)
-    (W, w_norm, _), *rows = _interaction_brackets([C, *dist.generators], H_SE)
-    open_loop = _open_loop(dist, rows, tol_invariance)
+    [(W, w_norm, _)] = _interaction_brackets([C], H_SE)
     condition_1 = _kernel_member(C, H_SE, W, w_norm, tol_invariance)
+    if condition_1.member:
+        rows = _interaction_brackets(dist.generators, H_SE)
+    else:  # only open loop reads the generators' brackets, up to its first failure
+        rows = (_interaction_brackets([T], H_SE)[0] for T in dist.generators)
+    open_loop = _open_loop(dist, rows, tol_invariance)
     necessary = _necessary(condition_1, dist, rows, tol_invariance)
     kernel = _kernel_member(C, H_SE, W, w_norm, max(tol_invariance, 1e-10))
     # open loop and condition 2 read the same relative norms at the same
@@ -305,10 +320,13 @@ def find_dfs_coherences(n_qubits: int, env_levels: int = 3, tol: float = DEFAULT
     """Basis pairs (i, j) whose coherence survives collective dephasing.
 
     Fixes the collective model: all qubits couple to one truncated mode
-    through the sum of their z operators; no controls.  Each candidate
-    |i><j| is closed under the drift map and tested against the interaction.
-    Returns the bit-string pairs, lexicographically sorted as enumerated,
-    and the surviving projector operators.
+    through the sum of their z operators; no controls.  The 2^n candidates
+    |i><j| of each ket i are bracketed with the interaction in one pass;
+    a candidate that does not commute with it fails open-loop invariance at
+    its closure's first generator, so only the others are closed under the
+    drift map and tested against the interaction.  Returns the bit-string
+    pairs, lexicographically sorted as enumerated, and the surviving
+    projector operators.
     """
     _check_dfs_qubits(n_qubits)
     params = ModelParams(omega0=omega0, omega_env=omega_env, g=g, env_levels=env_levels)
@@ -319,8 +337,12 @@ def find_dfs_coherences(n_qubits: int, env_levels: int = 3, tol: float = DEFAULT
     pairs: list[tuple[str, str]] = []
     ops: list[Operator] = []
     for wi in words:
-        for wj in words:
-            C = _coherence(layout, wi, wj)
+        candidates = [_coherence(layout, wi, wj) for wj in words]
+        # generator 0 of each walk, so the relative norms keep the walk's bits
+        first = _interaction_brackets([(1.0 / C.norm()) * C for C in candidates], interaction)
+        for wj, C, (_, _, rel) in zip(words, candidates, first):
+            if rel > tol:
+                continue  # condition 1 fails: open loop stops at generator 0
             dist = generate_ctilde(C, drift, [], tol=tol)
             report = check_open_loop_invariance(dist, interaction, tol)
             if report.verdict == "invariant":

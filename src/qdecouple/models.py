@@ -155,10 +155,12 @@ def _collective_dephasing(params: ModelParams, qubits: tuple[str, ...],
 
 def _coherence(layout: TensorLayout, ket: str, bra: str) -> Operator:
     """|ket><bra| on the leading qubits (bit strings), identity on the other slots."""
-    proj = np.zeros((2 ** len(ket), 2 ** len(ket)), dtype=complex)
-    proj[int(ket, 2), int(bra, 2)] = 1.0
-    rest = np.eye(layout.total_dim // proj.shape[0], dtype=complex)
-    return Operator(np.kron(proj, rest), "general", f"|{ket}><{bra}|")
+    # entry (i r + a, j r + a) of np.kron(|i><j|, I_r) is 1 for every a < r
+    rest = layout.total_dim // 2 ** len(ket)
+    m = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    diagonal = np.arange(rest)
+    m[int(ket, 2) * rest + diagonal, int(bra, 2) * rest + diagonal] = 1.0
+    return Operator(m, "general", f"|{ket}><{bra}|")
 
 
 def build_one_qubit(params: ModelParams = ModelParams()) -> SystemModel:

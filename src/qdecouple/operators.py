@@ -527,14 +527,29 @@ class Span:
         return coeffs, np.concatenate([coeffs @ self._B.T - t[:, :n_in], t[:, n_in:]], axis=1)
 
 
+_COMPLEMENT_MIN_WIDTH = 100  # narrower spans (the synthesis's 24) always test on the rows
+
+
 class _IncrementalSpan:
-    """Orthonormal rows grown in order by Gram-Schmidt accept/reject: the
-    span of the closure walk in `invariance.generate_ctilde` and of the
-    field selection in `synthesis.FeedbackSynthesizer.sample`.
+    """Orthonormal rows grown in order by accept/reject: the span of the
+    closure walk in `invariance.generate_ctilde` and of the field selection
+    in `synthesis.FeedbackSynthesizer.sample`.
+
+    A vector is tested on the smaller side of the space.  While the rows
+    fill less than half of it, or it is narrower than
+    `_COMPLEMENT_MIN_WIDTH` entries, the residual is the classical
+    Gram-Schmidt one, v - R* R v, at 2 rows x width products.  Once the
+    rows fill at least half of a wide space, one complete QR gives
+    orthonormal rows K spanning its orthogonal complement (stored
+    conjugated, so K v are v's coordinates there), and the residual norm
+    is |K v|, at (width - rows) x width products; each accepted row
+    deflates K by one Householder reflection, in place (Golub & Van Loan,
+    Matrix Computations, 5.1-5.2).  `widen` drops K, and a later `add`
+    switches again if the rows still fill half the space.
 
     A second projection only shrinks a residual, so a vector at or below the
-    cutoff is rejected on the first.  One classical pass loses orthogonality
-    only near the cutoff, so survivors below 1e6 times it are projected once
+    cutoff is rejected on the first.  One pass loses orthogonality only
+    near the cutoff, so survivors below 1e6 times it are projected once
     more ("twice is enough", Giraud, Langou & Rozloznik 2005) and the rest
     are taken as they are.  The rows live in a buffer that doubles when it
     is full, so an accept copies one row and the buffer never holds more
@@ -544,6 +559,7 @@ class _IncrementalSpan:
     def __init__(self, width: int = 0, dtype=complex):
         self._buf = np.zeros((0, width), dtype=dtype)
         self.rows = self._buf  # the accepted rows: the buffer's leading rows
+        self._complement = None  # K, once the rows fill half a wide space
 
     def widen(self, extra: int):
         """Append `extra` zero columns; exact, as no row has entries there."""
@@ -551,28 +567,56 @@ class _IncrementalSpan:
         self._buf = np.zeros((self._buf.shape[0], width + extra), dtype=self._buf.dtype)
         self._buf[:n, :width] = self.rows
         self.rows = self._buf[:n]
+        self._complement = None
 
     def add(self, v: np.ndarray, cutoff: float) -> float:
         """Residual norm of `v` off the rows; `v` joins when it exceeds `cutoff`."""
         rows = self.rows
-        if v.size != rows.shape[1]:
-            raise DimensionMismatchError(f"vector has {v.size} entries, the span "
-                                         f"{rows.shape[1]}")
-        # (R @ v*)* is R* @ v without copying the rows to conjugate them;
-        # conj returns real arrays as they are
-        v = v - rows.dot(v.conj()).conj().dot(rows)
-        rn = math.sqrt(np.vdot(v, v).real)
-        if cutoff < rn < 1e6 * cutoff:
+        n, width = rows.shape
+        if v.size != width:
+            raise DimensionMismatchError(f"vector has {v.size} entries, the span {width}")
+        if self._complement is None and width >= _COMPLEMENT_MIN_WIDTH and 2 * n >= width:
+            q = np.linalg.qr(rows.T, mode="complete")[0]
+            self._complement = np.ascontiguousarray(q[:, n:].T.conj())
+        K = self._complement
+        if K is None:
+            # (R @ v*)* is R* @ v without copying the rows to conjugate them;
+            # conj returns real arrays as they are
             v = v - rows.dot(v.conj()).conj().dot(rows)
             rn = math.sqrt(np.vdot(v, v).real)
+            if cutoff < rn < 1e6 * cutoff:
+                v = v - rows.dot(v.conj()).conj().dot(rows)
+                rn = math.sqrt(np.vdot(v, v).real)
+        else:
+            c = K.dot(v)
+            rn = math.sqrt(np.vdot(c, c).real)
+            if cutoff < rn < 1e6 * cutoff:
+                c = K.dot(c.conj().dot(K).conj())
+                rn = math.sqrt(np.vdot(c, c).real)
         if rn > cutoff:
-            n = rows.shape[0]
             if n == self._buf.shape[0]:
-                self._buf = np.empty((max(2 * n, 1), rows.shape[1]), dtype=rows.dtype)
+                self._buf = np.empty((max(2 * n, 1), width), dtype=rows.dtype)
                 self._buf[:n] = rows
-            self._buf[n] = v / rn
+            if K is None:
+                self._buf[n] = v / rn
+            else:
+                c /= rn
+                self._buf[n] = c.conj().dot(K).conj()
+                self._deflate(c)
             self.rows = self._buf[:n + 1]
         return rn
+
+    def _deflate(self, c: np.ndarray):
+        """Drop the unit vector with coordinates `c` from the complement:
+        the reflection H = I - 2 w w* / |w|^2 maps c onto a multiple of e_0,
+        so the rows of H K past the first span what is left."""
+        K = self._complement
+        phase = c[0] / abs(c[0]) if c[0] != 0 else 1.0
+        w = c.copy()
+        w[0] += phase
+        s = (2.0 / np.vdot(w, w).real) * w.conj().dot(K)
+        K[1:] -= w[1:, None] @ s[None]  # a matrix product: faster than np.outer here
+        self._complement = K[1:]
 
 
 def span_membership(target, basis: Sequence, tol: float = 1e-9) -> MembershipResult:

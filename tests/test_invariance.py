@@ -21,6 +21,7 @@ from qdecouple import (
     geometry,
     invariance,
     make_primitive,
+    models,
     operators,
 )
 from qdecouple.geometry import LinearVectorField, _kernel_member, kernel_dy_member
@@ -513,9 +514,11 @@ def test_bracket_block_matches_previous_open_loop_and_kernel():
 @pytest.mark.parametrize("build", [build_two_qubit, build_restructured, build_electrooptic],
                          ids=["two_qubit", "restructured", "electro_optic"])
 def test_decide_brackets_each_generator_with_interaction_once(build, monkeypatch):
-    # C and every closure generator meet H_SE in exactly one bracket: a row
-    # of a stacked product with the H_SE matrix, or a commutator(T, H_SE)
-    # call for a time-dependent T.  The restructured model's criterion 4
+    # C and every closure generator that a check reads meet H_SE in exactly
+    # one bracket: a row of a stacked product with the H_SE matrix, or a
+    # commutator(T, H_SE) call for a time-dependent T.  When condition 1
+    # fails (electro_optic), only open loop reads the generators, up to its
+    # first non-commuting one.  The restructured model's criterion 4
     # brackets its controls with H_SE too, a family of its own.
     model = build()
     H_SE = model.interaction
@@ -538,7 +541,11 @@ def test_decide_brackets_each_generator_with_interaction_once(build, monkeypatch
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         decision = invariance.decide(model)
-    ops = [model.coherence_op, *decision.closure.generators]
+    read = decision.closure.generators
+    if not decision.condition_1.member:
+        read = read[:len(decision.open_loop.residuals)]
+    assert (len(read) < decision.closure.rank) == (model.name == "electro_optic")
+    ops = [model.coherence_op, *read]
     keys = [T.matrix.tobytes() if isinstance(T, Operator) else id(T) for T in ops]
     assert [seen[k] for k in keys] == [1] * len(ops)
     criterion_4 = len(model.controls) if model.name == "restructured" else 0
@@ -611,6 +618,61 @@ def test_dfs_pairs_come_in_lexicographic_order_with_their_projectors(n):
         proj = np.zeros((2 ** n, 2 ** n), dtype=complex)
         proj[int(ket, 2), int(bra, 2)] = 1.0
         assert np.array_equal(op.matrix, np.kron(proj, np.eye(op.dim // 2 ** n)))
+
+
+def _previous_dfs(n_qubits, env_levels, g, tol=1e-9):
+    """`find_dfs_coherences` as it was before it tested condition 1 ahead of
+    the walk: every candidate, built by np.kron, closed and checked,
+    verbatim but for the candidate's construction."""
+    params = ModelParams(omega0=1.0, omega_env=1.0, g=g, env_levels=env_levels)
+    layout, drift, interaction = models._collective_dephasing(
+        params, tuple(f"q{i}" for i in range(n_qubits)), n_qubits)
+    rest = np.eye(layout.total_dim // 2 ** n_qubits, dtype=complex)
+    words = [format(k, f"0{n_qubits}b") for k in range(2 ** n_qubits)]
+    pairs, ops = [], []
+    for wi in words:
+        for wj in words:
+            proj = np.zeros((2 ** n_qubits, 2 ** n_qubits), dtype=complex)
+            proj[int(wi, 2), int(wj, 2)] = 1.0
+            C = Operator(np.kron(proj, rest), "general", f"|{wi}><{wj}|")
+            dist = generate_ctilde(C, drift, [], tol=tol)
+            report = check_open_loop_invariance(dist, interaction, tol)
+            if report.verdict == "invariant":
+                pairs.append((wi, wj))
+                ops.append(C)
+    return pairs, ops
+
+
+@pytest.mark.parametrize("g", [1.0, 0.0, 0.3 + 0.2j], ids=["g1", "g0", "complex"])
+@pytest.mark.parametrize("env_levels", [2, 3])
+def test_dfs_matches_previous_loop(env_levels, g):
+    for n in range(1, 5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no walk may stop unconverged
+            pairs, ops = find_dfs_coherences(n, env_levels, g=g)
+            old_pairs, old_ops = _previous_dfs(n, env_levels, g)
+        assert pairs == old_pairs
+        assert [(C.matrix.tobytes(), C.hermiticity, C.label) for C in ops] == \
+            [(C.matrix.tobytes(), C.hermiticity, C.label) for C in old_ops]
+        if g == 0.0:  # no interaction: every candidate commutes with it
+            assert len(pairs) == 4 ** n
+
+
+@pytest.mark.parametrize("g, walks", [(1.0, 70), (0.0, 256)])
+def test_dfs_walks_only_condition_1_survivors(g, walks, monkeypatch):
+    # at n = 4 the survivors are the 70 equal-weight pairs; with no
+    # interaction all 256 candidates survive and walk
+    walked = []
+    walk = invariance.generate_ctilde
+
+    def counted(C, *args, **kwargs):
+        walked.append(C)
+        return walk(C, *args, **kwargs)
+
+    monkeypatch.setattr(invariance, "generate_ctilde", counted)
+    pairs, ops = find_dfs_coherences(4, g=g)
+    assert len(walked) == walks == len(pairs)
+    assert all(a is b for a, b in zip(walked, ops))
 
 
 def test_dfs_guard_range():

@@ -17,7 +17,7 @@ from qdecouple import (
     make_primitive,
     span_membership,
 )
-from qdecouple.models import restructured_system_operators
+from qdecouple.models import _coherence, restructured_system_operators
 from qdecouple.operators import NumericalError
 import scipy.linalg
 
@@ -127,6 +127,32 @@ def test_collective_dephasing_drift_and_interaction(build, n_qubits, coupled):
         assert np.vdot(sz[k], 1j * m.drift.matrix).real == pytest.approx(p.omega0 / 2 * m.dim)
         overlap = abs(np.vdot(sz[k] @ d_g, 1j * m.interaction.matrix))
         assert (overlap > 1.0) == (k < coupled)
+
+
+def _kron_coherence(layout, ket, bra):
+    """|ket><bra| (x) I as `models._coherence` built it before it filled the
+    matrix by index: np.kron of the qubit projector with the identity."""
+    proj = np.zeros((2 ** len(ket), 2 ** len(ket)), dtype=complex)
+    proj[int(ket, 2), int(bra, 2)] = 1.0
+    return np.kron(proj, np.eye(layout.total_dim // proj.shape[0], dtype=complex))
+
+
+@pytest.mark.parametrize("env_levels", [2, 3])
+def test_coherence_is_byte_equal_to_kron_form(env_levels):
+    p = ModelParams(env_levels=env_levels)
+    shipped = [(build_one_qubit(p), "1", "0")]
+    shipped += [(build(p), "01", "10") for build in ALL_BUILDERS[1:]]
+    for m, ket, bra in shipped:
+        assert m.coherence_op.matrix.tobytes() == \
+            _kron_coherence(m.layout, ket, bra).tobytes(), m.name
+    for n in range(1, 5):  # the candidates of find_dfs_coherences
+        layout = TensorLayout((2,) * n + (env_levels,))
+        words = [format(k, f"0{n}b") for k in range(2 ** n)]
+        for ket in words:
+            for bra in words:
+                C = _coherence(layout, ket, bra)
+                assert C.matrix.tobytes() == _kron_coherence(layout, ket, bra).tobytes()
+                assert C.hermiticity == "general" and C.label == f"|{ket}><{bra}|"
 
 
 # ---------------------------------------------------------------------------

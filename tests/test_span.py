@@ -6,6 +6,9 @@ vectorizes target and basis together over the union of their coefficient
 families and factors the basis afresh for each target.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,13 +19,21 @@ from qdecouple import (
     Span,
     TimeOperator,
     TimeTerm,
+    build_ancilla_system,
+    build_electrooptic,
+    build_invariant_basis,
+    build_one_qubit,
     build_restructured,
+    build_two_qubit,
+    check_controller_necessary,
     commutator,
     generate_ctilde,
     span_membership,
+    synthesis,
 )
 from qdecouple.operators import _IncrementalSpan
-from conftest import random_matrix
+from qdecouple.synthesis import FeedbackSynthesizer
+from conftest import random_matrix, random_state
 
 TOL = 1e-9
 
@@ -314,3 +325,164 @@ def test_incremental_span_rejects_other_dimensions():
     span.widen(4)  # a second coefficient family of a 2x2 operator
     with pytest.raises(DimensionMismatchError):
         span.add(rng.standard_normal(18) + 0j, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the span's smaller side: equivalence with the Gram-Schmidt engine
+# ---------------------------------------------------------------------------
+
+def _previous_add(self, v, cutoff):
+    """`_IncrementalSpan.add` as it was before it tested on the complement
+    once the rows fill half a wide space: classical Gram-Schmidt against
+    all accepted rows, verbatim."""
+    rows = self.rows
+    if v.size != rows.shape[1]:
+        raise DimensionMismatchError(f"vector has {v.size} entries, the span "
+                                     f"{rows.shape[1]}")
+    # (R @ v*)* is R* @ v without copying the rows to conjugate them;
+    # conj returns real arrays as they are
+    v = v - rows.dot(v.conj()).conj().dot(rows)
+    rn = math.sqrt(np.vdot(v, v).real)
+    if cutoff < rn < 1e6 * cutoff:
+        v = v - rows.dot(v.conj()).conj().dot(rows)
+        rn = math.sqrt(np.vdot(v, v).real)
+    if rn > cutoff:
+        n = rows.shape[0]
+        if n == self._buf.shape[0]:
+            self._buf = np.empty((max(2 * n, 1), rows.shape[1]), dtype=rows.dtype)
+            self._buf[:n] = rows
+        self._buf[n] = v / rn
+        self.rows = self._buf[:n + 1]
+    return rn
+
+
+def _stream(rng, width, real):
+    """Random rows, and every fourth a combination of up to five rows drawn
+    before it, enough of them that the span fills completely."""
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x if real else x + 1j * rng.standard_normal(shape)
+    rows = []
+    for i in range(4 * width // 3 + 40):
+        if i % 4 == 3:
+            picks = rng.choice(len(rows), size=min(5, len(rows)), replace=False)
+            rows.append(draw(len(picks)) @ np.stack([rows[p] for p in picks]))
+        else:
+            rows.append(draw(width))
+    return rows
+
+
+def _projector(rows):
+    return rows.T @ rows.conj()
+
+
+def _assert_same_span(new, old, rows, new_residuals, old_residuals, cutoff):
+    assert [r > cutoff for r in new_residuals] == [r > cutoff for r in old_residuals]
+    for row, a, b in zip(rows, new_residuals, old_residuals):
+        assert abs(a - b) <= 1e-12 * np.linalg.norm(row)
+    assert new.rows.shape == old.rows.shape
+    assert np.abs(_projector(new.rows) - _projector(old.rows)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("width", [100, 144, 256, 300])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_complement_side_matches_gram_schmidt(width, real, monkeypatch):
+    rows = _stream(np.random.default_rng(width + real), width, real)
+    dtype = float if real else complex
+    cutoff = TOL * max(np.linalg.norm(r) for r in rows)
+    new = _IncrementalSpan(width, dtype)
+    new_residuals = [new.add(r, cutoff) for r in rows]
+    assert new._complement is not None and new._complement.shape == (0, width)
+    monkeypatch.setattr(_IncrementalSpan, "add", _previous_add)
+    old = _IncrementalSpan(width, dtype)
+    old_residuals = [old.add(r, cutoff) for r in rows]
+    assert old.rows.shape[0] == width
+    _assert_same_span(new, old, rows, new_residuals, old_residuals, cutoff)
+
+
+def test_widen_drops_the_complement_and_switches_again(monkeypatch):
+    # 90 rows of 120 entries switch; 60 more columns leave 90 of 180, which
+    # switches again at once, and the span grows on into the new columns
+    rng = np.random.default_rng(15)
+    first = _stream(rng, 120, False)[:120]
+    more = _stream(rng, 180, False)
+
+    def grow(span):
+        residuals = [span.add(r, 1e-9) for r in first]
+        switched = span._complement is not None
+        span.widen(60)
+        dropped = span._complement is None
+        residuals += [span.add(r, 1e-9) for r in more]
+        return residuals, switched, dropped
+
+    new = _IncrementalSpan(120)
+    new_residuals, switched, dropped = grow(new)
+    assert switched and dropped and new._complement is not None
+    monkeypatch.setattr(_IncrementalSpan, "add", _previous_add)
+    old = _IncrementalSpan(120)
+    old_residuals = grow(old)[0]
+    padded = [np.concatenate([r, np.zeros(60)]) for r in first]
+    _assert_same_span(new, old, padded + more, new_residuals, old_residuals, 1e-9)
+
+
+_CLOSURE_MODELS = [build_one_qubit, build_two_qubit, build_restructured, build_electrooptic,
+                   lambda: build_ancilla_system(ModelParams(env_levels=2))]
+
+
+def _generator_bytes(op):
+    if isinstance(op, TimeOperator):
+        return [(key, m.tobytes()) for key, m in op.families.items()]
+    return op.matrix.tobytes()
+
+
+@pytest.mark.parametrize("build", _CLOSURE_MODELS,
+                         ids=["one_qubit", "two_qubit", "restructured", "electro_optic",
+                              "ancilla"])
+def test_closures_match_gram_schmidt_walk(build, monkeypatch):
+    model = build()
+    args = (model.coherence_op, model.drift, list(model.controls))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # unconverged closures at low caps
+        new = [generate_ctilde(*args, cap, TOL) for cap in range(1, 13)]
+        with monkeypatch.context() as patch:
+            patch.setattr(_IncrementalSpan, "add", _previous_add)
+            old = [generate_ctilde(*args, cap, TOL) for cap in range(1, 13)]
+        for a, b in zip(new, old):
+            assert [_generator_bytes(g) for g in a.generators] == \
+                [_generator_bytes(g) for g in b.generators]
+            assert (a.depth_reached, a.converged, a.keys) == (b.depth_reached, b.converged, b.keys)
+            assert np.abs(a.basis - b.basis).max() <= 1e-12
+            ra, rb = (check_controller_necessary(model.coherence_op, d, model.interaction)
+                      for d in (a, b))
+            assert ra.verdict == rb.verdict
+            assert (ra.witness is None) == (rb.witness is None)
+            if ra.witness is not None:
+                assert _generator_bytes(ra.witness) == _generator_bytes(rb.witness)
+            assert len(ra.residuals) == len(rb.residuals)
+            assert max(abs(x - y) for x, y in zip(ra.residuals, rb.residuals)) <= 1e-12
+    if model.name in ("restructured", "ancilla"):  # wide enough, and filled past half
+        assert 2 * new[-1].rank >= model.dim ** 2 >= 100
+
+
+def test_field_selection_never_switches(restructured_model, monkeypatch):
+    # the synthesis's selection is 24 entries wide, under the width floor,
+    # so every candidate field is tested on the rows
+    m = restructured_model
+    spans = []
+
+    class Recorded(_IncrementalSpan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spans.append(self)
+
+        def add(self, v, cutoff):
+            rn = super().add(v, cutoff)
+            assert self._complement is None
+            return rn
+
+    monkeypatch.setattr(synthesis, "_IncrementalSpan", Recorded)
+    rng = np.random.default_rng(16)
+    synth = FeedbackSynthesizer(m, build_invariant_basis(m, lift_complement=True))
+    for _ in range(5):
+        synth.sample(random_state(rng, m.dim))
+    assert spans and {s.rows.shape[1] for s in spans} == {2 * m.dim}
