@@ -33,6 +33,13 @@ def random_matrix(rng, dim, scale=1.0):
     return scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
 
 
+def generator_bytes(op):
+    """An operator's matrix bytes, per coefficient family for a TimeOperator."""
+    if isinstance(op, TimeOperator):
+        return [(key, m.tobytes()) for key, m in op.families.items()]
+    return op.matrix.tobytes()
+
+
 def count_time_operators(monkeypatch):
     """Labels of every TimeOperator built from here on, through its one setter."""
     built = []

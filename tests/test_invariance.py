@@ -26,7 +26,7 @@ from qdecouple import (
 )
 from qdecouple.geometry import LinearVectorField, _kernel_member, kernel_dy_member
 from qdecouple.operators import Span, TimeTerm, _collect_keys, _IncrementalSpan, vectorize
-from conftest import count_time_operators
+from conftest import count_time_operators, generator_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +123,6 @@ def _reference_walk(C, H, controls, depth_cap, tol=1e-9, frontier=False):
     return gens, depth, False, sizes
 
 
-def _generator_bytes(op):
-    if isinstance(op, TimeOperator):
-        return [(key, m.tobytes()) for key, m in op.families.items()]
-    return op.matrix.tobytes()
-
-
 @pytest.mark.parametrize("name", ["two_qubit_model", "restructured_model"])
 def test_closure_brackets_each_pair_once(name, request, monkeypatch):
     # every bracket goes through the one stacked helper, a control block
@@ -191,8 +185,8 @@ def test_frontier_walk_matches_full_walk(two_qubit_model, restructured_model, mo
                 expected = (ref_gens, ref_depth, True)
             else:
                 expected = (ref_gens[:sizes[cap - 1]], cap, False)
-            assert [_generator_bytes(g) for g in dist.generators] == \
-                [_generator_bytes(g) for g in expected[0]], (model.name, cap, tol)
+            assert [generator_bytes(g) for g in dist.generators] == \
+                [generator_bytes(g) for g in expected[0]], (model.name, cap, tol)
             assert (dist.depth_reached, dist.converged) == expected[1:]
         if tol < 1e-9:
             assert span_tests == ref_tests
@@ -401,7 +395,7 @@ def test_necessary_matches_previous_check():
                     case = (model.name, tol, cap, C is identity)
                     assert new.verdict == old.verdict, case
                     if len(old.residuals) == 1:  # condition 1's witness, built afresh
-                        assert _generator_bytes(new.witness) == _generator_bytes(old.witness), case
+                        assert generator_bytes(new.witness) == generator_bytes(old.witness), case
                     else:
                         assert new.witness is old.witness, case
                     assert len(new.residuals) == len(old.residuals), case
@@ -452,7 +446,7 @@ def _assert_same_open_loop(new, old, dist, case):
 
 def _assert_same_kernel(new, old, case):
     assert (new.member, new.residual) == (old.member, old.residual), case
-    assert _generator_bytes(new.witness) == _generator_bytes(old.witness), case
+    assert generator_bytes(new.witness) == generator_bytes(old.witness), case
     assert type(new.witness) is type(old.witness), case
     if isinstance(old.witness, Operator):
         assert new.witness.hermiticity == old.witness.hermiticity, case

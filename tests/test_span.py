@@ -33,7 +33,7 @@ from qdecouple import (
 )
 from qdecouple.operators import _IncrementalSpan
 from qdecouple.synthesis import FeedbackSynthesizer
-from conftest import random_matrix, random_state
+from conftest import generator_bytes, random_matrix, random_state
 
 TOL = 1e-9
 
@@ -429,12 +429,6 @@ _CLOSURE_MODELS = [build_one_qubit, build_two_qubit, build_restructured, build_e
                    lambda: build_ancilla_system(ModelParams(env_levels=2))]
 
 
-def _generator_bytes(op):
-    if isinstance(op, TimeOperator):
-        return [(key, m.tobytes()) for key, m in op.families.items()]
-    return op.matrix.tobytes()
-
-
 @pytest.mark.parametrize("build", _CLOSURE_MODELS,
                          ids=["one_qubit", "two_qubit", "restructured", "electro_optic",
                               "ancilla"])
@@ -448,8 +442,8 @@ def test_closures_match_gram_schmidt_walk(build, monkeypatch):
             patch.setattr(_IncrementalSpan, "add", _previous_add)
             old = [generate_ctilde(*args, cap, TOL) for cap in range(1, 13)]
         for a, b in zip(new, old):
-            assert [_generator_bytes(g) for g in a.generators] == \
-                [_generator_bytes(g) for g in b.generators]
+            assert [generator_bytes(g) for g in a.generators] == \
+                [generator_bytes(g) for g in b.generators]
             assert (a.depth_reached, a.converged, a.keys) == (b.depth_reached, b.converged, b.keys)
             assert np.abs(a.basis - b.basis).max() <= 1e-12
             ra, rb = (check_controller_necessary(model.coherence_op, d, model.interaction)
@@ -457,7 +451,7 @@ def test_closures_match_gram_schmidt_walk(build, monkeypatch):
             assert ra.verdict == rb.verdict
             assert (ra.witness is None) == (rb.witness is None)
             if ra.witness is not None:
-                assert _generator_bytes(ra.witness) == _generator_bytes(rb.witness)
+                assert generator_bytes(ra.witness) == generator_bytes(rb.witness)
             assert len(ra.residuals) == len(rb.residuals)
             assert max(abs(x - y) for x, y in zip(ra.residuals, rb.residuals)) <= 1e-12
     if model.name in ("restructured", "ancilla"):  # wide enough, and filled past half
