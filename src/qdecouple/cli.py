@@ -486,10 +486,10 @@ def _make_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--state", dest="state_preset")
     p_syn.add_argument("--lift-complement", action="store_true")
 
-    def integrating(name, help_text, mode, out_help):
+    def integrating(name, help_text, out_help):
         p = sub.add_parser(name, help=help_text)
         common(p)
-        p.add_argument("--mode", choices=["open", "closed"], default=mode)
+        p.add_argument("--mode", choices=["open", "closed"], default="open")
         p.add_argument("--feedback", choices=["least_squares", "protective"],
                        default="least_squares")
         p.add_argument("--lift-complement", action="store_true")
@@ -500,9 +500,8 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-end", type=float, dest="t_end")
         p.add_argument("--out", help=out_help)
 
-    integrating("simulate", "single trajectory to CSV", "open", "trajectory CSV filename")
-    integrating("compare", "decoupling comparison across strengths", "closed",
-                "comparison CSV filename")
+    integrating("simulate", "single trajectory to CSV", "trajectory CSV filename")
+    integrating("compare", "decoupling comparison across strengths", "comparison CSV filename")
     return parser
 
 

@@ -506,7 +506,8 @@ class Span:
         first axis of `targets`, in one projection: the `is_member` and
         `residual_norm` arrays.  The projection is `membership`'s, made with
         matrix products over the whole stack, so the residuals may differ
-        from one-target tests in the last bits."""
+        from one-target tests by rounding, amplified by the basis's
+        condition number."""
         t = np.asarray(targets, dtype=complex)
         t = t.reshape(len(t), math.prod(t.shape[1:]))
         self._check_size(t.shape[1], len(self.keys))
@@ -520,8 +521,7 @@ class Span:
     def _project(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Minimum-norm coefficients and residuals of the rows of `t`, one
         vectorized target each; entries past the basis key space are all
-        residual.  A single row takes matrix-vector products, whose bits the
-        residuals of `decide` and `verify_synthesis` keep."""
+        residual."""
         n_in = self._B.shape[0]
         coeffs = ((t[:, :n_in] @ self._uh.T) / self._s) @ self._v.T
         return coeffs, np.concatenate([coeffs @ self._B.T - t[:, :n_in], t[:, n_in:]], axis=1)

@@ -108,6 +108,11 @@ class ControlSchedule:
             raise ValueError("amplitudes, frequencies, phases must share length")
         return cls("sinusoidal", a.size, lambda t: a * np.sin(w * t + p))
 
+    @property
+    def frozen(self) -> bool:
+        """A (piecewise-)constant drive, which every step holds at its start value."""
+        return self.kind in ("constant", "piecewise_constant")
+
     def __call__(self, t: float) -> np.ndarray:
         u = self._fn(t)
         if u.size != self.n_channels:
@@ -256,7 +261,7 @@ def _rk4(static: np.ndarray, ctrl: np.ndarray, schedule: ControlSchedule, dt: fl
     stages of an open-loop drive, and at every stage in closed loop, where
     u follows the state.
     """
-    frozen = schedule.kind in ("constant", "piecewise_constant")
+    frozen = schedule.frozen
     flat = ctrl.reshape(ctrl.shape[0], -1)
 
     def rhs(t: float, state: np.ndarray, v: np.ndarray, F: Optional[np.ndarray] = None):
@@ -312,11 +317,10 @@ def integrate_open_loop(model: SystemModel, schedule: ControlSchedule,
     """Fixed-step RK4 for xi' = (drift + sum u_i(t) control_i + interaction) xi;
     a (piecewise-)constant drive steps by one RK4 step matrix per drive value."""
     stats = {"propagators": 0}
-    frozen = schedule.kind in ("constant", "piecewise_constant")
     return _propagate(model, t_end, dt, "open", stats, _points(
         model, schedule, xi0, t_end, dt, norm_guard, "open-loop integration",
         lambda static, ctrl: _propagator_step(static, ctrl, schedule, dt, _rk4_propagator, stats)
-        if frozen else _rk4(static, ctrl, schedule, dt)))
+        if schedule.frozen else _rk4(static, ctrl, schedule, dt)))
 
 
 def propagate_piecewise_exact(model: SystemModel, schedule: ControlSchedule,
@@ -328,7 +332,7 @@ def propagate_piecewise_exact(model: SystemModel, schedule: ControlSchedule,
     integrator.  Schedule breakpoints should lie on the dt grid, otherwise
     segment boundaries are effectively shifted to the next grid point.
     """
-    if schedule.kind not in ("constant", "piecewise_constant"):
+    if not schedule.frozen:
         raise ValueError("exact propagation requires a (piecewise-)constant schedule")
 
     import scipy.linalg  # deferred: it more than doubles the package's import time

@@ -314,6 +314,17 @@ def test_compare_labels_complex_g_in_full(tmp_path, capsys):
     assert title == "report: compare two_qubit mode=open g=0,0+10j,10"
 
 
+def test_bare_compare_runs_open_loop(tmp_path, capsys):
+    # with no mode flag compare runs open loop, as simulate does; the
+    # least-squares closed loop would reject the default two_qubit model
+    code = run_command(["compare", "--t-end", "1", "--output-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2, err  # the g = 10 run leaves the g = 0 one: a negative verdict
+    assert "FAIL max deviation" in out
+    title = (tmp_path / "compare_report.txt").read_text().splitlines()[1]
+    assert title == "report: compare two_qubit mode=open g=0,10"
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_configured_initial_state_is_where_the_run_starts(tmp_path, capsys, command):
     # e_0 = |00>|0> carries no coherence; the dfs_pair preset starts at 0.5

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from collections import Counter
 
@@ -563,6 +564,31 @@ def test_necessary_factors_no_span(build, monkeypatch):
     assert len(report.residuals) > 2  # condition 2 ran, past the first generator
 
 
+def _previous_criterion_4(model, tol_rank):
+    """`decide`'s criterion-4 worst residual as it was before its brackets
+    were tested in one projection: one span test per bracket, verbatim."""
+    H_SE = model.interaction
+    span = Span(list(model.controls), tol_rank)
+    brackets = -operators._brackets(
+        H_SE.matrix, operators._stack([g.matrix for g in model.controls], H_SE.dim))
+    return max(span.membership(b).residual_norm / max(operators.opnorm(b), 1e-300)
+               for b in brackets)
+
+
+@pytest.mark.parametrize("env_levels", [2, 3, 4, 5])
+def test_criterion_4_matches_per_target_loop(env_levels):
+    model = build_restructured(ModelParams(env_levels=env_levels))
+    old = _previous_criterion_4(model, 1e-9)
+    for tol in (1e-9, 1e-16):
+        decision = invariance.decide(model, tol_invariance=tol)
+        closes = old <= tol
+        passed = (closes and decision.kernel.member
+                  and decision.necessary.verdict != "necessary_failed")
+        assert decision.verdict == ("decouplable" if passed else "not_decouplable")
+        assert decision.brackets_close is closes
+        assert abs(decision.bracket_residual - old) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # protected-coherence discovery
 # ---------------------------------------------------------------------------
@@ -614,11 +640,11 @@ def test_dfs_pairs_come_in_lexicographic_order_with_their_projectors(n):
         assert np.array_equal(op.matrix, np.kron(proj, np.eye(op.dim // 2 ** n)))
 
 
-def _previous_dfs(n_qubits, env_levels, g, tol=1e-9):
-    """`find_dfs_coherences` as it was before it tested condition 1 ahead of
-    the walk: every candidate, built by np.kron, closed and checked,
-    verbatim but for the candidate's construction."""
-    params = ModelParams(omega0=1.0, omega_env=1.0, g=g, env_levels=env_levels)
+def _previous_dfs(n_qubits, env_levels, g, tol=1e-9, omega0=1.0, omega_env=1.0):
+    """`find_dfs_coherences` as it was before its bracket pass decided it:
+    every candidate, built by np.kron, closed and checked, verbatim but for
+    the candidate's construction."""
+    params = ModelParams(omega0=omega0, omega_env=omega_env, g=g, env_levels=env_levels)
     layout, drift, interaction = models._collective_dephasing(
         params, tuple(f"q{i}" for i in range(n_qubits)), n_qubits)
     rest = np.eye(layout.total_dim // 2 ** n_qubits, dtype=complex)
@@ -640,11 +666,13 @@ def _previous_dfs(n_qubits, env_levels, g, tol=1e-9):
 @pytest.mark.parametrize("g", [1.0, 0.0, 0.3 + 0.2j], ids=["g1", "g0", "complex"])
 @pytest.mark.parametrize("env_levels", [2, 3])
 def test_dfs_matches_previous_loop(env_levels, g):
-    for n in range(1, 5):
+    # at the default cutoff and below rounding, and at unequal frequencies
+    for n, tol, (omega0, omega_env) in itertools.product(
+            range(1, 5), (1e-9, 1e-16), ((1.0, 1.0), (0.3, 0.7))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no walk may stop unconverged
-            pairs, ops = find_dfs_coherences(n, env_levels, g=g)
-            old_pairs, old_ops = _previous_dfs(n, env_levels, g)
+            pairs, ops = find_dfs_coherences(n, env_levels, tol, omega0, omega_env, g)
+            old_pairs, old_ops = _previous_dfs(n, env_levels, g, tol, omega0, omega_env)
         assert pairs == old_pairs
         assert [(C.matrix.tobytes(), C.hermiticity, C.label) for C in ops] == \
             [(C.matrix.tobytes(), C.hermiticity, C.label) for C in old_ops]
@@ -652,21 +680,35 @@ def test_dfs_matches_previous_loop(env_levels, g):
             assert len(pairs) == 4 ** n
 
 
-@pytest.mark.parametrize("g, walks", [(1.0, 70), (0.0, 256)])
-def test_dfs_walks_only_condition_1_survivors(g, walks, monkeypatch):
-    # at n = 4 the survivors are the 70 equal-weight pairs; with no
-    # interaction all 256 candidates survive and walk
-    walked = []
-    walk = invariance.generate_ctilde
+@pytest.mark.parametrize("g, survivors", [(1.0, 70), (0.0, 256)])
+def test_dfs_walks_no_closure(g, survivors, monkeypatch):
+    # the bracket pass decides every candidate: at n = 4 the survivors are
+    # the 70 equal-weight pairs, with no interaction all 256, and none is
+    # walked or checked; the returned operators are the candidates built
+    built, calls = [], Counter()
+    coherence = invariance._coherence
 
-    def counted(C, *args, **kwargs):
-        walked.append(C)
-        return walk(C, *args, **kwargs)
+    def counted_coherence(*args):
+        built.append(coherence(*args))
+        return built[-1]
 
-    monkeypatch.setattr(invariance, "generate_ctilde", counted)
+    def counted(name):
+        original = getattr(invariance, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(invariance, "_coherence", counted_coherence)
+    for name in ("generate_ctilde", "check_open_loop_invariance"):
+        monkeypatch.setattr(invariance, name, counted(name))
     pairs, ops = find_dfs_coherences(4, g=g)
-    assert len(walked) == walks == len(pairs)
-    assert all(a is b for a, b in zip(walked, ops))
+    assert calls == Counter()
+    assert len(built) == 256
+    assert len(ops) == survivors == len(pairs)
+    by_label = {C.label: C for C in built}
+    assert all(by_label[f"|{a}><{b}|"] is C for (a, b), C in zip(pairs, ops))
 
 
 def test_dfs_guard_range():

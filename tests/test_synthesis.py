@@ -318,6 +318,86 @@ def test_verify_least_squares_feedback_measured_outcome(restructured_model, basi
     assert report.worst_bracket > 0.5
 
 
+def _previous_verify_synthesis(sample, model, basis, tol=1e-6):
+    """`verify_synthesis` as it was before its brackets were tested in one
+    projection: one span test per (field, bracket) pair, verbatim."""
+    xi = sample.state
+    nc = model.n_controls
+    ctrl = np.stack([op.matrix for op in model.controls])
+    delta_gen = basis.delta_generators()
+
+    closed_drift = model.drift.matrix + np.tensordot(sample.alpha, ctrl, axes=1)
+    closed_ctrls = [np.tensordot(sample.beta[:, i], ctrl, axes=1) for i in range(nc)]
+
+    delta_vecs = delta_gen @ xi
+    span = Span(np.concatenate([delta_vecs.real, delta_vecs.imag], axis=1), 1e-9)
+
+    def rel_residual(vec: np.ndarray) -> float:
+        v = np.concatenate([vec.real, vec.imag])
+        nv = np.linalg.norm(v)
+        if nv < 1e-14:
+            return 0.0
+        return float(span.membership(v).residual_norm / nv)
+
+    n_delta = delta_gen.shape[0]
+    out = np.zeros((n_delta, 1 + nc))
+    for m in range(n_delta):
+        A_d = delta_gen[m]
+        for col, B in enumerate([closed_drift] + closed_ctrls):
+            bracket_vec = (B @ A_d - A_d @ B) @ xi  # vf_bracket generator action
+            out[m, col] = rel_residual(bracket_vec)
+
+    Cm = model.coherence_op.matrix
+    def lie_y(B):
+        return complex(np.vdot(xi, Cm @ (B @ xi)) - np.vdot(xi, B @ (Cm @ xi)))
+
+    ly0 = lie_y(closed_drift)
+    lyc = np.array([lie_y(B) for B in closed_ctrls])
+    worst = float(out.max(initial=0.0))
+    return out, ly0, lyc, worst, worst <= tol
+
+
+def _span_condition(basis, xi):
+    """Condition number of the invariant span at `xi`, over its kept singular values."""
+    vecs = basis.delta_generators() @ xi
+    s = np.linalg.svd(np.concatenate([vecs.real, vecs.imag], axis=1), compute_uv=False)
+    return s[0] / s[s > 1e-9 * s[0]][-1]
+
+
+def test_verify_matches_per_target_loop(restructured_model, two_qubit_model, basis):
+    # the pinned corpus up to its 40th random state (dfs_pair and its 20
+    # perturbations) with the bare and the lifted basis, and the identity
+    # feedback of the bare models, whose dfs_pair brackets at g = 0 vanish
+    m = restructured_model
+    cases = []
+    for lift in (False, True):
+        b = build_invariant_basis(m, lift_complement=lift)
+        synth = FeedbackSynthesizer(m, b)
+        cases += [(synth.sample(xi), m, b) for xi in _pinned_corpus(m)[:61]]
+    g0 = build_two_qubit(ModelParams(g=0.0))
+    for model, xi in ((two_qubit_model, random_state(np.random.default_rng(5), 12)),
+                      (g0, preset_state(g0, "dfs_pair"))):
+        cases.append((ControlLawSample(state=xi, alpha=np.zeros(4), beta=np.eye(4),
+                                       ranks=(0, 0, 0), residuals=(), beta_rank=4),
+                      model, basis))
+    zeros = 0
+    for sample, model, b in cases:
+        new = verify_synthesis(sample, model, b)
+        out, ly0, lyc, worst, ok = _previous_verify_synthesis(sample, model, b)
+        # the stacked and the one-row projections round differently, by an
+        # amount that grows with the span's condition number: up to 1e8 near
+        # dfs_pair, where they differ by 2.3e-13
+        atol = 1e-14 * max(1.0, _span_condition(b, sample.state) / 1e6)
+        assert np.abs(new.bracket_residuals - out).max() <= atol
+        assert np.array_equal(new.bracket_residuals == 0.0, out == 0.0)
+        assert new.passed == ok
+        assert abs(new.worst_bracket - worst) <= atol
+        assert new.lie_y_drift == ly0
+        assert np.array_equal(new.lie_y_controls, lyc)
+        zeros += int((out == 0.0).sum())
+    assert zeros >= 1  # the zero-norm branch is read
+
+
 # ---------------------------------------------------------------------------
 # protective feedback
 # ---------------------------------------------------------------------------
